@@ -35,7 +35,6 @@ from .events import (
     read_events_csv,
 )
 from .metrics import (
-    MetricReport,
     ccami,
     gap_ratio_alpha,
     inverse_compression_ratio,

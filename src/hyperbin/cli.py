@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from .events import (
     CSV_HEADER,
     DiscretizedEvents,
     EventDataError,
-    EventSet,
     build_snapshot,
     discretize,
     discretize_by_width,
@@ -52,33 +50,11 @@ DEFAULT_SWEEP_K = (2, 5, 10)
 DEFAULT_SWEEP_GAMMA = (0.001, 0.01, 0.1, 1.0)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    input_path: str | None
-    output_path: str
-    T: int | str = "auto"
-    delta_t: float | None = None
-    method: str = "exact"
-    K: int | None = None
-    seed: int = 0
-    baselines: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; data problems exit 2 (handled in main)
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _discretize_for_config(ev: EventSet, cfg: RunConfig) -> DiscretizedEvents:
-    if cfg.delta_t is not None:
-        return discretize_by_width(ev, cfg.delta_t)
-    T = min(ev.N, AUTO_T_CAP) if cfg.T == "auto" else int(cfg.T)
-    return discretize(ev, T)
 
 
 def _result_entry(d: DiscretizedEvents, res: BinningResult) -> dict:
@@ -141,18 +117,21 @@ def _write_series_csv(path: Path, d: DiscretizedEvents, results: list[BinningRes
             )
 
 
-def cmd_bin(cfg: RunConfig) -> Path:
+def cmd_bin(args: argparse.Namespace) -> Path:
     """Run the selected optimizers (and optionally the naive baselines) on an
     events CSV; write a JSON result document plus a plot-series CSV."""
-    ev = read_events_csv(cfg.input_path)
-    d = _discretize_for_config(ev, cfg)
+    ev = read_events_csv(args.input)
+    if args.delta_t is not None:
+        d = discretize_by_width(ev, args.delta_t)
+    else:
+        d = discretize(ev, min(ev.N, AUTO_T_CAP) if args.T == "auto" else args.T)
     results: list[BinningResult] = []
-    if cfg.method in ("exact", "both"):
+    if args.method in ("exact", "both"):
         results.append(solve_dp(d))
-    if cfg.method in ("greedy", "both"):
+    if args.method in ("greedy", "both"):
         results.append(solve_greedy(d))
-    if cfg.baselines:
-        K = cfg.K if cfg.K is not None else results[0].K
+    if args.baselines:
+        K = args.K if args.K is not None else results[0].K
         for fn in (baseline_uniform_duration, baseline_uniform_count):
             try:
                 results.append(fn(d, K))
@@ -168,7 +147,7 @@ def cmd_bin(cfg: RunConfig) -> Path:
         "origin": d.origin,
         "results": [_result_entry(d, res) for res in results],
     }
-    out = Path(cfg.output_path)
+    out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -176,12 +155,15 @@ def cmd_bin(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_synth(cfg: RunConfig, params: SynthParams) -> Path:
+def cmd_synth(args: argparse.Namespace) -> Path:
     """Generate a synthetic dataset; write the events CSV and a sidecar JSON
     with the planted binning."""
+    params = SynthParams(
+        N=args.N, T=args.T, K=args.K, S=args.S, D=args.D, gamma=args.gamma, seed=args.seed
+    )
     res = generate_synthetic(params)
     ev = res.events
-    out = Path(cfg.output_path)
+    out = Path(args.output)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -221,17 +203,7 @@ def _sweep_task(task: tuple) -> list[tuple]:
     return rows
 
 
-def cmd_sweep(
-    cfg: RunConfig,
-    grid_n,
-    grid_t,
-    grid_k,
-    grid_gamma,
-    S: int,
-    D: int,
-    reps: int,
-    jobs: int,
-) -> Path:
+def cmd_sweep(args: argparse.Namespace) -> Path:
     """Reconstruction sweep over a parameter grid; one CSV row per
     (grid point, rep, method). Replicates run in a process pool; rows are
     sorted before writing so the output is deterministic."""
@@ -239,30 +211,30 @@ def cmd_sweep(
         "exact": ("exact_dp",),
         "greedy": ("greedy",),
         "both": ("exact_dp", "greedy"),
-    }[cfg.method]
+    }[args.method]
     combos = [
         (N, T, K, gamma, rep)
-        for N in grid_n
-        for T in grid_t
-        for K in grid_k
-        for gamma in grid_gamma
-        for rep in range(reps)
+        for N in args.N
+        for T in args.T
+        for K in args.K
+        for gamma in args.gamma
+        for rep in range(args.reps)
     ]
-    seeds = np.random.default_rng(cfg.seed).integers(2**63, size=len(combos))
+    seeds = np.random.default_rng(args.seed).integers(2**63, size=len(combos))
     tasks = [
-        (N, T, K, gamma, rep, S, D, int(seed), methods)
+        (N, T, K, gamma, rep, args.S, args.D, int(seed), methods)
         for (N, T, K, gamma, rep), seed in zip(combos, seeds)
     ]
     rows: list[tuple] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for chunk in pool.map(_sweep_task, tasks):
                 rows.extend(chunk)
     else:
         for task in tasks:
             rows.extend(_sweep_task(task))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
-    out = Path(cfg.output_path)
+    out = Path(args.output)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -283,11 +255,11 @@ def _load_result_file(path: str) -> dict:
     return doc
 
 
-def cmd_metrics(cfg: RunConfig, result_paths: list[str], samples: int = 100) -> Path:
+def cmd_metrics(args: argparse.Namespace) -> Path:
     """Evaluate stored binning results against their dataset: per-result eta
     (stored and re-derived), gap ratio and edge divergence, plus the CCAMI
     and description-length-gap matrices over all stored partitions."""
-    docs = [(p, _load_result_file(p)) for p in result_paths]
+    docs = [(p, _load_result_file(p)) for p in args.results]
     ref = docs[0][1]
     for p, doc in docs[1:]:
         for key in ("N", "S", "D", "T", "delta_t", "origin"):
@@ -295,10 +267,10 @@ def cmd_metrics(cfg: RunConfig, result_paths: list[str], samples: int = 100) -> 
                 raise EventDataError(
                     f"{p}: {key}={doc[key]} does not match {docs[0][0]} ({ref[key]})"
                 )
-    ev = read_events_csv(cfg.input_path)
+    ev = read_events_csv(args.input)
     if ev.N != ref["N"] or ev.S != ref["S"] or ev.D != ref["D"]:
         raise EventDataError(
-            f"{cfg.input_path}: dataset shape does not match the result files"
+            f"{args.input}: dataset shape does not match the result files"
         )
     d = discretize_on_grid(ev, ref["T"], ref["origin"], ref["delta_t"])
     ref_dl = total_dl_exact(d, Binning((d.T,))).decoupled_total
@@ -332,13 +304,13 @@ def cmd_metrics(cfg: RunConfig, result_paths: list[str], samples: int = 100) -> 
             val = ccami(
                 partitions[i],
                 partitions[j],
-                samples=samples,
-                rng=np.random.default_rng([cfg.seed, i, j]),
+                samples=args.samples,
+                rng=np.random.default_rng([args.seed, i, j]),
             )
             cc[i][j] = cc[j][i] = val
     gaps = [[decoupled[i] - decoupled[j] for j in range(n)] for i in range(n)]
 
-    out = Path(cfg.output_path)
+    out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -362,6 +334,19 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def _steps(text: str) -> int | str:
+    # "auto" or a positive timestep count
+    if text == "auto":
+        return text
+    try:
+        T = int(text)
+    except ValueError:
+        T = 0
+    if T < 1:
+        raise argparse.ArgumentTypeError(f'expected "auto" or an integer >= 1, got {text!r}')
+    return T
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperbin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,11 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin = sub.add_parser("bin", help="infer binnings from an events CSV")
     p_bin.add_argument("--input", required=True)
     p_bin.add_argument("--output", required=True)
-    p_bin.add_argument("--T", default="auto", help='timestep count or "auto" (min(N, 5000))')
+    p_bin.add_argument("--T", type=_steps, default="auto", help='timestep count or "auto" (min(N, 5000))')
     p_bin.add_argument("--delta-t", type=float, default=None, help="timestep width (overrides --T)")
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
     p_bin.add_argument("--K", type=int, default=None, help="cluster count for the baselines")
-    p_bin.add_argument("--seed", type=int, default=0)
     p_bin.add_argument("--baselines", action="store_true")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -414,43 +398,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bin":
-            T = args.T if args.T == "auto" else int(args.T)
-            cfg = RunConfig(
-                command="bin",
-                input_path=args.input,
-                output_path=args.output,
-                T=T,
-                delta_t=args.delta_t,
-                method=args.method,
-                K=args.K,
-                seed=args.seed,
-                baselines=args.baselines,
-            )
-            cmd_bin(cfg)
+            cmd_bin(args)
         elif args.command == "synth":
-            cfg = RunConfig(command="synth", input_path=None, output_path=args.output, seed=args.seed)
-            cmd_synth(
-                cfg,
-                SynthParams(
-                    N=args.N, T=args.T, K=args.K, S=args.S, D=args.D,
-                    gamma=args.gamma, seed=args.seed,
-                ),
-            )
+            cmd_synth(args)
         elif args.command == "sweep":
-            cfg = RunConfig(
-                command="sweep", input_path=None, output_path=args.output,
-                method=args.method, seed=args.seed,
-            )
-            cmd_sweep(
-                cfg, args.N, args.T, args.K, args.gamma,
-                S=args.S, D=args.D, reps=args.reps, jobs=args.jobs,
-            )
+            cmd_sweep(args)
         elif args.command == "metrics":
-            cfg = RunConfig(
-                command="metrics", input_path=args.input, output_path=args.output,
-                seed=args.seed,
-            )
-            cmd_metrics(cfg, args.results, samples=args.samples)
+            cmd_metrics(args)
     except (ValueError, OSError) as exc:
         print(f"hyperbin: error: {exc}", file=sys.stderr)
         return 2

@@ -168,30 +168,15 @@ class MarginState:
             self.lg_g1 += lgt[c0 + c + 1] - lgt[c0 + 1]
 
     @classmethod
-    def merged(cls, a: "MarginState", b: "MarginState") -> "MarginState":
+    def merged(cls, a: "MarginState", b: "MarginState", lgt) -> "MarginState":
+        """State of the union of two disjoint intervals: a copy of the larger
+        state with the smaller one's counts added."""
         small, big = (a, b) if a.m <= b.m else (b, a)
         out = cls()
-        out.m = a.m + b.m
-        out.s_cnt = dict(big.s_cnt)
-        out.d_cnt = dict(big.d_cnt)
-        out.g_cnt = dict(big.g_cnt)
-        out.sum_d2 = big.sum_d2
-        out.lg_s1 = big.lg_s1
-        out.lg_d1 = big.lg_d1
-        out.lg_g1 = big.lg_g1
-        for s, c in small.s_cnt.items():
-            c0 = out.s_cnt.get(s, 0)
-            out.s_cnt[s] = c0 + c
-            out.lg_s1 += math.lgamma(c0 + c + 1) - math.lgamma(c0 + 1)
-        for t, c in small.d_cnt.items():
-            c0 = out.d_cnt.get(t, 0)
-            out.d_cnt[t] = c0 + c
-            out.lg_d1 += math.lgamma(c0 + c + 1) - math.lgamma(c0 + 1)
-            out.sum_d2 += 2 * c0 * c + c * c
-        for g, c in small.g_cnt.items():
-            c0 = out.g_cnt.get(g, 0)
-            out.g_cnt[g] = c0 + c
-            out.lg_g1 += math.lgamma(c0 + c + 1) - math.lgamma(c0 + 1)
+        out.m, out.sum_d2 = big.m, big.sum_d2
+        out.lg_s1, out.lg_d1, out.lg_g1 = big.lg_s1, big.lg_d1, big.lg_g1
+        out.s_cnt, out.d_cnt, out.g_cnt = dict(big.s_cnt), dict(big.d_cnt), dict(big.g_cnt)
+        out.add_counts(small.s_cnt.items(), small.d_cnt.items(), small.g_cnt.items(), lgt)
         return out
 
 
@@ -284,9 +269,6 @@ class IntervalCostEngine:
         ms = (lgt[y : y + self.N + 1] - lgt[y] - lgt[1 : self.N + 2]) / LN2
         return ms.tolist()
 
-    def new_state(self) -> MarginState:
-        return MarginState()
-
     def add_step_events(self, state: MarginState, step: int) -> None:
         sp, dp, gp = self.step_pairs[self.occ_rank[step]]
         state.add_counts(sp, dp, gp, self.lgt)
@@ -300,55 +282,25 @@ class IntervalCostEngine:
             state.add_counts(sp, dp, gp, lgt)
         return state
 
-    def width_increment(self, m: int, old_width: int) -> float:
-        """Cost change from widening an interval by one eventless step."""
-        return math.log2((m + old_width) / old_width)
-
-    def _ec_sd(self, st: MarginState) -> float:
-        m = st.m
-        nr = len(st.s_cnt)
-        nc = len(st.d_cnt)
+    def _ec(self, m, nr, nc, row_counts, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
+        """Effective-columns bits (combinatorics.ec_bits) of the nr x nc
+        matrices with m events, from aggregates of the margins: `row_counts`
+        the row sums, lg_r1 / lg_c1 the sums of lgamma(sum + 1) over rows /
+        columns, sc2 the sum of squared column sums and lg_cols_shift the sum
+        of lgamma(column sum + nr)."""
         if nr <= 1 or nc <= 1:
             return 0.0
         lgt = self.lgt
-        if nc == m:  # every destination distinct
-            return (lgt[m + 1] - st.lg_s1) / LN2
-        if nr == m:  # every source distinct
-            return (lgt[m + 1] - st.lg_d1) / LN2
-        sc2 = st.sum_d2
+        if nc == m:  # every column sum is 1
+            return (lgt[m + 1] - lg_r1) / LN2
+        if nr == m:  # every row sum is 1
+            return (lgt[m + 1] - lg_c1) / LN2
         ctilde = (m * m - m + (m * m - sc2) / nr) / (sc2 - m)
         lg = math.lgamma
-        bits = -nr * lg(ctilde) - st.lg_s1
-        for r in st.s_cnt.values():
+        bits = -nr * lg(ctilde) - lg_r1
+        for r in row_counts:
             bits += lg(r + ctilde)
-        bits += -nc * lgt[nr] - st.lg_d1
-        for c in st.d_cnt.values():
-            bits += lgt[c + nr]
-        bits -= lg(m + nr * ctilde) - lg(nr * ctilde) - lgt[m + 1]
-        return bits / LN2
-
-    def _ec_gn(self, st: MarginState, p0: int, p1: int) -> float:
-        m = st.m
-        nr = len(st.g_cnt)
-        nc = p1 - p0
-        if nr <= 1 or nc <= 1:
-            return 0.0
-        lgt = self.lgt
-        if nc == m:  # one event per occupied step
-            return (lgt[m + 1] - st.lg_g1) / LN2
-        if nr == m:  # all edge weights 1
-            return (lgt[m + 1] - (self.pref_lg1[p1] - self.pref_lg1[p0])) / LN2
-        sc2 = self.pref_sq[p1] - self.pref_sq[p0]
-        ctilde = (m * m - m + (m * m - sc2) / nr) / (sc2 - m)
-        lg = math.lgamma
-        bits = -nr * lg(ctilde) - st.lg_g1
-        for w in st.g_cnt.values():
-            bits += lg(w + ctilde)
-        if self.pref_lgR is not None:
-            sum_lgR = self.pref_lgR[nr][p1] - self.pref_lgR[nr][p0]
-        else:
-            sum_lgR = float(self._lgt_np[self._occ_np[p0:p1] + nr].sum())
-        bits += sum_lgR - nc * lgt[nr] - (self.pref_lg1[p1] - self.pref_lg1[p0])
+        bits += lg_cols_shift - nc * lgt[nr] - lg_c1
         bits -= lg(m + nr * ctilde) - lg(nr * ctilde) - lgt[m + 1]
         return bits / LN2
 
@@ -369,8 +321,28 @@ class IntervalCostEngine:
             + self.msD[m]
             + (lgt[m + tau] - lgt[tau] - lgt[m + 1]) / LN2
         )
-        bits += self._ec_sd(state)
-        bits += self._ec_gn(state, self.occ_rank[a], self.occ_rank[z])
+        # sources x destinations
+        nr = len(state.s_cnt)
+        lg_shift = 0.0
+        for c in state.d_cnt.values():
+            lg_shift += lgt[c + nr]
+        bits += self._ec(
+            m, nr, len(state.d_cnt), state.s_cnt.values(),
+            state.lg_s1, state.lg_d1, state.sum_d2, lg_shift,
+        )
+        # edges x occupied steps; the step margins come from the prefix tables
+        p0, p1 = self.occ_rank[a], self.occ_rank[z]
+        nr = len(state.g_cnt)
+        if nr <= 1:
+            lg_shift = 0.0
+        elif self.pref_lgR is not None:
+            lg_shift = self.pref_lgR[nr][p1] - self.pref_lgR[nr][p0]
+        else:
+            lg_shift = float(self._lgt_np[self._occ_np[p0:p1] + nr].sum())
+        bits += self._ec(
+            m, nr, p1 - p0, state.g_cnt.values(), state.lg_g1,
+            self.pref_lg1[p1] - self.pref_lg1[p0], self.pref_sq[p1] - self.pref_sq[p0], lg_shift,
+        )
         return bits
 
     def single_cluster_cost(self) -> float:

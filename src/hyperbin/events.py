@@ -8,6 +8,7 @@ event partitions they induce, and per-bin hypergraph snapshots.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -46,6 +47,8 @@ class EventSet:
             raise EventDataError("event set needs at least one event")
         if not (len(self.sources) == len(self.dests) == len(self.times)):
             raise EventDataError("sources, dests and times must have equal length")
+        if not np.all(np.isfinite(self.times)):
+            raise EventDataError("event times must be finite")
         if np.any(np.diff(self.times) < 0):
             raise EventDataError("events must be sorted by time")
         if not self.source_labels or not self.dest_labels:
@@ -70,27 +73,30 @@ class EventSet:
 
 def _parse_timestamp(value, row: int) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    text = str(value).strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise EventDataError(f"row {row}: cannot parse timestamp {value!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)  # naive stamps read as UTC
-    return dt.timestamp()
+        stamp = float(value)
+    else:
+        text = str(value).strip()
+        try:
+            stamp = float(text)
+        except ValueError:
+            try:
+                dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            except ValueError:
+                raise EventDataError(f"row {row}: cannot parse timestamp {value!r}") from None
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)  # naive stamps read as UTC
+            stamp = dt.timestamp()
+    if not math.isfinite(stamp):
+        raise EventDataError(f"row {row}: timestamp {value!r} is not finite")
+    return stamp
 
 
 def parse_events(records: Iterable[tuple]) -> EventSet:
     """Build an EventSet from (source_label, dest_label, timestamp) records.
 
     Labels are mapped to dense integer ids in first-appearance order;
-    timestamps may be numbers or ISO-8601 strings. Events are stably sorted
-    by time, so records sharing a timestamp keep their input order.
+    timestamps may be finite numbers or ISO-8601 strings. Events are stably
+    sorted by time, so records sharing a timestamp keep their input order.
     Duplicate (s, d, t) triples are allowed (multi-events).
     """
     src_ids: dict[str, int] = {}
@@ -123,8 +129,10 @@ CSV_HEADER = ("source", "destination", "timestamp")
 
 
 def read_events_csv(path) -> EventSet:
-    """Read events from a CSV file with header source,destination,timestamp."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read events from a CSV file with header source,destination,timestamp.
+
+    The file is read as UTF-8; a leading byte-order mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -9,7 +9,6 @@ description-length posterior comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,17 +16,6 @@ import numpy as np
 from .encoding import total_dl_exact
 from .events import Binning, DiscretizedEvents, EventPartition, EventSet, HypergraphSnapshot
 from .synth import as_generator, sample_positive_composition
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Metrics of one binning, optionally compared against another."""
-
-    eta: float
-    ccami: float | None
-    alpha: float | None
-    jsd_edges: float
-    dl_gap_bits: float | None
 
 
 def inverse_compression_ratio(dl_opt: float, d: DiscretizedEvents) -> float:
@@ -146,26 +134,3 @@ def posterior_log_ratio(dl_a: float, dl_b: float) -> float:
     posterior probability of b over a under the code's implied model."""
     return dl_a - dl_b
 
-
-def compare_binnings(
-    d: DiscretizedEvents,
-    a: Binning,
-    b: Binning,
-    samples: int = 100,
-    rng=None,
-) -> MetricReport:
-    """Metrics of binning `a` on dataset `d`, compared against binning `b`."""
-    from .events import build_snapshot, induce_partition
-
-    dl_a = total_dl_exact(d, a).decoupled_total
-    dl_b = total_dl_exact(d, b).decoupled_total
-    part_a = induce_partition(d, a)
-    part_b = induce_partition(d, b)
-    snaps = [build_snapshot(d, a, k) for k in range(a.K)]
-    return MetricReport(
-        eta=inverse_compression_ratio(dl_a, d),
-        ccami=ccami(part_a, part_b, samples=samples, rng=rng),
-        alpha=gap_ratio_alpha(d.base, part_a),
-        jsd_edges=jsd_edges(snaps),
-        dl_gap_bits=posterior_log_ratio(dl_a, dl_b),
-    )

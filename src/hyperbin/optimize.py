@@ -71,13 +71,13 @@ def _finish(
 ) -> BinningResult:
     dl = total_dl_exact(d, binning)
     single = Binning((d.T,))
-    ref = total_dl_exact(d, single).decoupled_total
+    single_dl = total_dl_exact(d, single)
+    ref = single_dl.decoupled_total
     if cap_at_single and dl.decoupled_total > ref:
         # The optimizer examined the single-cluster solution, so it must never
         # report anything worse; this can only trigger when its search-time
         # cost and the reported one disagree at float-noise level.
-        binning = single
-        dl = total_dl_exact(d, binning)
+        binning, dl = single, single_dl
     return BinningResult(
         binning=binning,
         binning_canonical=canonical_binning(d, binning),
@@ -124,7 +124,7 @@ def _dp_table(eng: IntervalCostEngine) -> tuple[list[float], list[int]]:
                     cost_row[i] = c + log2((cum_j - cum[i] + w) / w)
             cost_row[last] = INF
         else:
-            state = eng.new_state()
+            state = MarginState()
             cum_j = cum[j]
             for i in range(last, -1, -1):
                 if step_events[i] > 0:
@@ -222,7 +222,7 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     def pair_delta(li: int) -> tuple[float, "_GreedyCluster"]:
         left = clusters[li]
         right = clusters[left.next]
-        merged_state = MarginState.merged(left.state, right.state)
+        merged_state = MarginState.merged(left.state, right.state, eng.lgt)
         cost = eng.interval_cost(left.start, right.end + 1, merged_state)
         merged = _GreedyCluster(left.start, right.end, merged_state, cost)
         return cost - left.cost - right.cost, merged

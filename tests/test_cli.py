@@ -232,3 +232,22 @@ class TestExitCodes:
         bad.write_text("wrong,header,here\n1,2,3\n", encoding="utf-8")
         assert main(["bin", "--input", str(bad),
                      "--output", str(tmp_path / "out.json")]) == 2
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp(self, tmp_path, capsys, stamp):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"source,destination,timestamp\nu,v,1.0\nu,w,{stamp}\nw,v,2.0\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["bin", "--input", str(bad), "--output", str(out)]) == 2
+        assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_T_is_a_usage_error(self, tmp_path, value):
+        events = tmp_path / "events.csv"
+        write_sample_csv(events)
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", "--input", str(events), "--output", str(tmp_path / "out.json"),
+                  "--T", value])
+        assert exc.value.code == 1

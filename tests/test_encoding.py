@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import sample_events, random_event_set
 from hyperbin import (
     Binning,
     EmptyClusterError,
+    EventSet,
     IntervalCostEngine,
     Margins,
     build_snapshot,
     cluster_dl,
     decoupled_constant,
     discretize,
+    discretize_on_grid,
     induce_partition,
     log2_multiset,
     log2_omega_exact,
@@ -21,6 +25,7 @@ from hyperbin import (
     stage1_dl,
     total_dl_exact,
 )
+from hyperbin.encoding import MarginState
 
 
 class TestNaiveDl:
@@ -226,3 +231,70 @@ class TestIntervalCostEngine:
         assert eng.single_cluster_cost() == pytest.approx(
             total_dl_exact(d, Binning((12,))).decoupled_total, abs=1e-9
         )
+
+
+@st.composite
+def unit_grid_events(draw):
+    """Events on a grid of unit steps. Besides mixed data, two shapes force
+    the closed forms of both effective-columns terms in every interval:
+    all sources distinct (every row sum 1: nr == m) and one event per
+    occupied step with all destinations distinct (every column sum 1:
+    nc == m)."""
+    T = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["mixed", "distinct_sources", "distinct_dests"]))
+    if shape == "distinct_dests":
+        steps = sorted(draw(st.permutations(range(T)))[: draw(st.integers(1, T))])
+        m = len(steps)
+        sources = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        dests = list(range(m))
+    else:
+        m = draw(st.integers(1, 40))
+        steps = sorted(draw(st.lists(st.integers(0, T - 1), min_size=m, max_size=m)))
+        sources = (
+            list(range(m)) if shape == "distinct_sources"
+            else draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+        )
+        dests = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    ev = EventSet(
+        sources=sources,
+        dests=dests,
+        times=[t + 0.5 for t in steps],
+        source_labels=tuple(f"s{i}" for i in range(max(sources) + 1)),
+        dest_labels=tuple(f"d{i}" for i in range(max(dests) + 1)),
+    )
+    return discretize_on_grid(ev, T, 0.0, 1.0)
+
+
+class TestEngineProperties:
+    @pytest.mark.parametrize("budget", [IntervalCostEngine.EDGE_TABLE_BUDGET, 0])
+    @settings(max_examples=60, deadline=None)
+    @given(d=unit_grid_events())
+    def test_interval_cost_matches_ec_bits_reference(self, budget, d):
+        # budget 0 sends the edge x step term through the numpy fallback
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntervalCostEngine, "EDGE_TABLE_BUDGET", budget)
+            eng = IntervalCostEngine(d)
+        assert (eng.pref_lgR is None) == (budget == 0)
+        for a in range(d.T):
+            for z in range(a + 1, d.T + 1):
+                got = eng.interval_cost(a, z, eng.state_for_interval(a, z))
+                want = TestIntervalCostEngine._reference_cost(d, a, z)
+                if math.isinf(want):
+                    assert math.isinf(got)
+                else:
+                    assert abs(got - want) <= 1e-9, (a, z, got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=unit_grid_events(), data=st.data())
+    def test_merged_equals_add_counts_over_both_intervals(self, d, data):
+        a, c, z = sorted(data.draw(st.lists(st.integers(0, d.T), min_size=3, max_size=3)))
+        eng = IntervalCostEngine(d)
+        left, right = eng.state_for_interval(a, c), eng.state_for_interval(c, z)
+        before = [(dict(x.s_cnt), dict(x.d_cnt), dict(x.g_cnt)) for x in (left, right)]
+        got = MarginState.merged(left, right, eng.lgt)
+        want = eng.state_for_interval(a, z)
+        assert (got.m, got.sum_d2) == (want.m, want.sum_d2)
+        assert (got.s_cnt, got.d_cnt, got.g_cnt) == (want.s_cnt, want.d_cnt, want.g_cnt)
+        for name in ("lg_s1", "lg_d1", "lg_g1"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9, name
+        assert [(x.s_cnt, x.d_cnt, x.g_cnt) for x in (left, right)] == before

@@ -8,6 +8,7 @@ from hyperbin import (
     Binning,
     EmptyClusterError,
     EventDataError,
+    EventSet,
     build_snapshot,
     canonical_binning,
     discretize,
@@ -45,6 +46,18 @@ class TestParseEvents:
     def test_bad_timestamp_reports_row(self):
         with pytest.raises(EventDataError, match="row 2"):
             parse_events([("a", "x", 1.0), ("b", "y", "not-a-time")])
+
+    @pytest.mark.parametrize(
+        "stamp", [float("nan"), float("inf"), -float("inf"), "nan", "inf", "-inf", " NaN "]
+    )
+    def test_non_finite_timestamp_reports_row(self, stamp):
+        with pytest.raises(EventDataError, match="row 2: .* not finite"):
+            parse_events([("a", "x", 1.0), ("b", "y", stamp), ("c", "z", 2.0)])
+
+    def test_event_set_rejects_non_finite_times(self):
+        with pytest.raises(EventDataError, match="finite"):
+            EventSet(sources=[0, 0], dests=[0, 0], times=[1.0, float("nan")],
+                     source_labels=("a",), dest_labels=("x",))
 
     def test_empty_input(self):
         with pytest.raises(EventDataError):
@@ -246,4 +259,23 @@ class TestCsvReader:
             "source,destination,timestamp\nu,v,1.0\nu,v,zzz\n", encoding="utf-8"
         )
         with pytest.raises(EventDataError, match="row 3"):
+            read_events_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "\ufeffsource,destination,timestamp\nu,v,1.0\nw,v,2.0\n", encoding="utf-8"
+        )
+        assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
+        ev = read_events_csv(path)
+        assert ev.source_labels == ("u", "w")
+        assert ev.times.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_reports_path_and_row(self, tmp_path, stamp):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"source,destination,timestamp\nu,v,1.0\nu,v,{stamp}\n", encoding="utf-8"
+        )
+        with pytest.raises(EventDataError, match="row 3: .* not finite"):
             read_events_csv(path)

@@ -20,7 +20,6 @@ from hyperbin import (
     solve_dp,
     total_dl_exact,
 )
-from hyperbin.metrics import compare_binnings
 from hyperbin.synth import sample_positive_composition
 
 
@@ -168,19 +167,3 @@ class TestInverseCompressionRatio:
         res = solve_dp(d)
         assert inverse_compression_ratio(res.dl.decoupled_total, d) == res.eta
 
-
-class TestCompareBinnings:
-    def test_pairwise_report(self):
-        rng = np.random.default_rng(4)
-        ev = random_event_set(rng, 100, 4, 4)
-        d = discretize(ev, 20)
-        rep = compare_binnings(d, Binning((10, 10)), Binning((20,)), rng=1)
-        assert rep.eta > 0
-        assert rep.ccami == 0.0  # against the single-cluster partition
-        assert rep.alpha is not None
-        assert 0.0 <= rep.jsd_edges <= 1.0
-        assert rep.dl_gap_bits == pytest.approx(
-            total_dl_exact(d, Binning((10, 10))).decoupled_total
-            - total_dl_exact(d, Binning((20,))).decoupled_total,
-            abs=1e-9,
-        )
