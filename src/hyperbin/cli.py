@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -347,6 +348,17 @@ def _steps(text: str) -> int | str:
     return T
 
 
+def _width(text: str) -> float:
+    # a finite positive step width
+    try:
+        width = float(text)
+    except ValueError:
+        width = math.nan
+    if not 0 < width < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return width
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperbin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin.add_argument("--input", required=True)
     p_bin.add_argument("--output", required=True)
     p_bin.add_argument("--T", type=_steps, default="auto", help='timestep count or "auto" (min(N, 5000))')
-    p_bin.add_argument("--delta-t", type=float, default=None, help="timestep width (overrides --T)")
+    p_bin.add_argument("--delta-t", type=_width, default=None, help="timestep width (overrides --T)")
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
     p_bin.add_argument("--K", type=int, default=None, help="cluster count for the baselines")
     p_bin.add_argument("--baselines", action="store_true")

@@ -126,18 +126,25 @@ class MarginState:
     """Accumulating margins of one timestep interval (or cluster).
 
     Events are only ever added, one timestep at a time. Keeps the per-source
-    / per-destination / per-edge count dictionaries plus the running
-    aggregate sums the effective-columns terms need, updated in O(1) per
-    distinct value added.
+    / per-destination / per-edge count dictionaries, weight histograms of the
+    source and edge counts (count -> number of sources or edges holding it,
+    never with a zero key or a zero multiplicity), plus the running aggregate
+    sums the effective-columns terms need, updated in O(1) per distinct value
+    added.
     """
 
-    __slots__ = ("m", "s_cnt", "d_cnt", "g_cnt", "sum_d2", "lg_s1", "lg_d1", "lg_g1")
+    __slots__ = (
+        "m", "s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist",
+        "sum_d2", "lg_s1", "lg_d1", "lg_g1",
+    )
 
     def __init__(self):
         self.m = 0
         self.s_cnt: dict[int, int] = {}
         self.d_cnt: dict[int, int] = {}
         self.g_cnt: dict[int, int] = {}
+        self.s_hist: dict[int, int] = {}  # source count -> number of sources
+        self.g_hist: dict[int, int] = {}  # edge weight -> number of edges
         self.sum_d2 = 0  # sum of squared destination counts
         self.lg_s1 = 0.0  # sum of lgamma(count + 1) over sources
         self.lg_d1 = 0.0
@@ -149,11 +156,18 @@ class MarginState:
         `lgt` is an integer lgamma lookup table covering counts up to the
         total event count.
         """
-        s_cnt = self.s_cnt
+        s_cnt, s_hist = self.s_cnt, self.s_hist
         for s, c in s_pairs:
             c0 = s_cnt.get(s, 0)
-            s_cnt[s] = c0 + c
-            self.lg_s1 += lgt[c0 + c + 1] - lgt[c0 + 1]
+            c1 = s_cnt[s] = c0 + c
+            if c0:
+                n = s_hist[c0]
+                if n == 1:
+                    del s_hist[c0]
+                else:
+                    s_hist[c0] = n - 1
+            s_hist[c1] = s_hist.get(c1, 0) + 1
+            self.lg_s1 += lgt[c1 + 1] - lgt[c0 + 1]
             self.m += c
         d_cnt = self.d_cnt
         for t, c in d_pairs:
@@ -161,11 +175,18 @@ class MarginState:
             d_cnt[t] = c0 + c
             self.lg_d1 += lgt[c0 + c + 1] - lgt[c0 + 1]
             self.sum_d2 += (2 * c0 + c) * c
-        g_cnt = self.g_cnt
+        g_cnt, g_hist = self.g_cnt, self.g_hist
         for g, c in g_pairs:
             c0 = g_cnt.get(g, 0)
-            g_cnt[g] = c0 + c
-            self.lg_g1 += lgt[c0 + c + 1] - lgt[c0 + 1]
+            c1 = g_cnt[g] = c0 + c
+            if c0:
+                n = g_hist[c0]
+                if n == 1:
+                    del g_hist[c0]
+                else:
+                    g_hist[c0] = n - 1
+            g_hist[c1] = g_hist.get(c1, 0) + 1
+            self.lg_g1 += lgt[c1 + 1] - lgt[c0 + 1]
 
     @classmethod
     def merged(cls, a: "MarginState", b: "MarginState", lgt) -> "MarginState":
@@ -176,6 +197,7 @@ class MarginState:
         out.m, out.sum_d2 = big.m, big.sum_d2
         out.lg_s1, out.lg_d1, out.lg_g1 = big.lg_s1, big.lg_d1, big.lg_g1
         out.s_cnt, out.d_cnt, out.g_cnt = dict(big.s_cnt), dict(big.d_cnt), dict(big.g_cnt)
+        out.s_hist, out.g_hist = dict(big.s_hist), dict(big.g_hist)
         out.add_counts(small.s_cnt.items(), small.d_cnt.items(), small.g_cnt.items(), lgt)
         return out
 
@@ -184,17 +206,13 @@ class IntervalCostEngine:
     """Fast decoupled cluster costs over contiguous timestep intervals.
 
     Same objective as cluster_dl, organized for the optimizers: fixed
-    per-timestep counts live in prefix tables so the time-margin side of the
-    cost is O(1), and source/destination/edge margins come from an
-    incrementally maintained MarginState. Appending an eventless timestep to
-    an interval changes the cost by a single closed-form width increment,
-    which is what makes the dynamic program's O(1) endpoint updates valid.
+    per-timestep counts live in prefix tables over the occupied steps so the
+    time-margin side of the cost is O(1), and source/destination/edge margins
+    come from an incrementally maintained MarginState. Appending an eventless
+    timestep to an interval changes the cost by a single closed-form width
+    increment, which is what makes the dynamic program's O(1) endpoint
+    updates valid.
     """
-
-    # Per-R prefix tables for the time-margin term are built while their
-    # footprint (edge alphabet x occupied steps) stays below this budget;
-    # beyond it the term falls back to a vectorized sum over occupied steps.
-    EDGE_TABLE_BUDGET = 200_000
 
     def __init__(self, d: DiscretizedEvents):
         base = d.base
@@ -214,8 +232,8 @@ class IntervalCostEngine:
         P = len(occ_np)
 
         # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments can
-        # reach m + tau <= N + T, count + #nonzero <= 2N, and (for the edge
-        # prefix tables) step count + edge alphabet size.
+        # reach m + tau <= N + T, count + #nonzero <= 2N, and (for the step
+        # rows) step count + edge alphabet size.
         n_edges_max = min(self.S * self.D, self.N)
         size = self.N + max(self.T, self.S, self.D, self.N, n_edges_max) + 3
         lgt_np = np.concatenate([[0.0, 0.0], np.cumsum(np.log(np.arange(1, size - 1)))])
@@ -227,13 +245,10 @@ class IntervalCostEngine:
         self.pref_lg1 = np.concatenate([zero, np.cumsum(lgt_np[occ_np + 1])]).tolist()
         self.pref_sq = np.concatenate([zero, np.cumsum(occ_np * occ_np)]).tolist()
 
-        if n_edges_max * (P + 1) <= self.EDGE_TABLE_BUDGET:
-            rs = np.arange(2, n_edges_max + 1)
-            block = np.cumsum(lgt_np[occ_np[None, :] + rs[:, None]], axis=1)
-            block = np.concatenate([np.zeros((len(rs), 1)), block], axis=1)
-            self.pref_lgR = [None, None] + [row.tolist() for row in block]
-        else:
-            self.pref_lgR = None
+        # nr -> prefix sums of lgamma(step count + nr) over occupied steps,
+        # built on first use by the edge x step term (numpy rows: a list row
+        # costs about four times the memory)
+        self._step_rows: dict[int, np.ndarray] = {}
 
         # per occupied step: events grouped into (value, count) pairs, so a
         # state update costs O(distinct values), not O(events)
@@ -282,12 +297,12 @@ class IntervalCostEngine:
             state.add_counts(sp, dp, gp, lgt)
         return state
 
-    def _ec(self, m, nr, nc, row_counts, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
+    def _ec(self, m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
         """Effective-columns bits (combinatorics.ec_bits) of the nr x nc
-        matrices with m events, from aggregates of the margins: `row_counts`
-        the row sums, lg_r1 / lg_c1 the sums of lgamma(sum + 1) over rows /
-        columns, sc2 the sum of squared column sums and lg_cols_shift the sum
-        of lgamma(column sum + nr)."""
+        matrices with m events, from aggregates of the margins: `row_hist`
+        the (row sum, number of rows with it) pairs, lg_r1 / lg_c1 the sums
+        of lgamma(sum + 1) over rows / columns, sc2 the sum of squared column
+        sums and lg_cols_shift the sum of lgamma(column sum + nr)."""
         if nr <= 1 or nc <= 1:
             return 0.0
         lgt = self.lgt
@@ -298,8 +313,8 @@ class IntervalCostEngine:
         ctilde = (m * m - m + (m * m - sc2) / nr) / (sc2 - m)
         lg = math.lgamma
         bits = -nr * lg(ctilde) - lg_r1
-        for r in row_counts:
-            bits += lg(r + ctilde)
+        for r, n in row_hist:
+            bits += n * lg(r + ctilde)
         bits += lg_cols_shift - nc * lgt[nr] - lg_c1
         bits -= lg(m + nr * ctilde) - lg(nr * ctilde) - lgt[m + 1]
         return bits / LN2
@@ -308,7 +323,11 @@ class IntervalCostEngine:
         """Decoupled cost of the cluster covering steps [a, z).
 
         `state` must hold the margins of exactly those steps' events.
-        Returns +inf for eventless intervals (inadmissible clusters).
+        Returns +inf for eventless intervals (inadmissible clusters). Both
+        effective-columns terms go through `_ec`, with the rows given as the
+        state's weight histogram; the edge x step term's sum of
+        lgamma(step count + nr) is one lookup in the step row of nr, which
+        is built on first use.
         """
         m = state.m
         if m == 0:
@@ -327,21 +346,22 @@ class IntervalCostEngine:
         for c in state.d_cnt.values():
             lg_shift += lgt[c + nr]
         bits += self._ec(
-            m, nr, len(state.d_cnt), state.s_cnt.values(),
+            m, nr, len(state.d_cnt), state.s_hist.items(),
             state.lg_s1, state.lg_d1, state.sum_d2, lg_shift,
         )
-        # edges x occupied steps; the step margins come from the prefix tables
+        # edges x occupied steps; the step margins come from the prefix
+        # tables, Σ lgamma(step count + nr) from the step row of nr
         p0, p1 = self.occ_rank[a], self.occ_rank[z]
         nr = len(state.g_cnt)
-        if nr <= 1:
-            lg_shift = 0.0
-        elif self.pref_lgR is not None:
-            lg_shift = self.pref_lgR[nr][p1] - self.pref_lgR[nr][p0]
-        else:
-            lg_shift = float(self._lgt_np[self._occ_np[p0:p1] + nr].sum())
+        row = self._step_rows.get(nr)
+        if row is None:
+            row = self._step_rows[nr] = np.concatenate(
+                [[0.0], np.cumsum(self._lgt_np[self._occ_np + nr])]
+            )
         bits += self._ec(
-            m, nr, p1 - p0, state.g_cnt.values(), state.lg_g1,
-            self.pref_lg1[p1] - self.pref_lg1[p0], self.pref_sq[p1] - self.pref_sq[p0], lg_shift,
+            m, nr, p1 - p0, state.g_hist.items(), state.lg_g1,
+            self.pref_lg1[p1] - self.pref_lg1[p0], self.pref_sq[p1] - self.pref_sq[p0],
+            float(row[p1] - row[p0]),
         )
         return bits
 

@@ -206,12 +206,22 @@ def discretize(ev: EventSet, T: int) -> DiscretizedEvents:
 
 
 def discretize_by_width(ev: EventSet, delta_t: float) -> DiscretizedEvents:
-    """Discretize with an explicit step width; T becomes ceil(span / delta_t)."""
-    if delta_t <= 0:
-        raise ValueError(f"need delta_t > 0, got {delta_t}")
+    """Discretize with an explicit step width; T becomes ceil(span / delta_t).
+
+    Raises ValueError, before allocating anything, when the derived step
+    count is not finite or does not fit an array index.
+    """
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"need a finite delta_t > 0, got {delta_t}")
     t1 = float(ev.times[0])
     span = float(ev.times[-1]) - t1
-    T = max(1, int(np.ceil(span / delta_t)))
+    steps = span / delta_t
+    if not steps <= np.iinfo(np.intp).max:  # catches inf and nan too
+        raise ValueError(
+            f"delta_t={delta_t} over a span of {span} gives T={steps:g} steps, "
+            "more than an array index can hold"
+        )
+    T = max(1, math.ceil(steps))
     return _finish_discretization(ev, T, t1, delta_t)
 
 

@@ -242,6 +242,7 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
         if left.version != vl or right.version != vr:
             continue
         _, merged = pair_delta(li)
+        left.state = right.state = None  # merged away: free their margins
         merged.prev = left.prev
         merged.next = right.next
         merged_idx = len(clusters)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import hyperbin.events
 from helpers import SAMPLE_ROWS
 from hyperbin.cli import main
 
@@ -251,3 +252,27 @@ class TestExitCodes:
             main(["bin", "--input", str(events), "--output", str(tmp_path / "out.json"),
                   "--T", value])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_bad_delta_t_is_a_usage_error(self, tmp_path, value):
+        events = tmp_path / "events.csv"
+        write_sample_csv(events)
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", "--input", str(events), "--output", str(tmp_path / "out.json"),
+                  "--delta-t", value])
+        assert exc.value.code == 1
+
+    def test_delta_t_too_fine_for_an_index_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        events = tmp_path / "events.csv"
+        write_sample_csv(events)
+
+        def no_grid(*args):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(hyperbin.events, "_finish_discretization", no_grid)
+        out = tmp_path / "out.json"
+        # the sample spans 11 time units, so T would be 1.1e301
+        assert main(["bin", "--input", str(events), "--output", str(out),
+                     "--delta-t", "1e-300"]) == 2
+        assert "T=1.1e+301" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -266,15 +267,10 @@ def unit_grid_events(draw):
 
 
 class TestEngineProperties:
-    @pytest.mark.parametrize("budget", [IntervalCostEngine.EDGE_TABLE_BUDGET, 0])
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events())
-    def test_interval_cost_matches_ec_bits_reference(self, budget, d):
-        # budget 0 sends the edge x step term through the numpy fallback
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(IntervalCostEngine, "EDGE_TABLE_BUDGET", budget)
-            eng = IntervalCostEngine(d)
-        assert (eng.pref_lgR is None) == (budget == 0)
+    def test_interval_cost_matches_ec_bits_reference(self, d):
+        eng = IntervalCostEngine(d)
         for a in range(d.T):
             for z in range(a + 1, d.T + 1):
                 got = eng.interval_cost(a, z, eng.state_for_interval(a, z))
@@ -290,11 +286,19 @@ class TestEngineProperties:
         a, c, z = sorted(data.draw(st.lists(st.integers(0, d.T), min_size=3, max_size=3)))
         eng = IntervalCostEngine(d)
         left, right = eng.state_for_interval(a, c), eng.state_for_interval(c, z)
-        before = [(dict(x.s_cnt), dict(x.d_cnt), dict(x.g_cnt)) for x in (left, right)]
+        fields = ("s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist")
+        before = [[dict(getattr(x, f)) for f in fields] for x in (left, right)]
         got = MarginState.merged(left, right, eng.lgt)
         want = eng.state_for_interval(a, z)
         assert (got.m, got.sum_d2) == (want.m, want.sum_d2)
         assert (got.s_cnt, got.d_cnt, got.g_cnt) == (want.s_cnt, want.d_cnt, want.g_cnt)
+        assert (got.s_hist, got.g_hist) == (want.s_hist, want.g_hist)
         for name in ("lg_s1", "lg_d1", "lg_g1"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9, name
-        assert [(x.s_cnt, x.d_cnt, x.g_cnt) for x in (left, right)] == before
+        # add_counts (left, right, want) and merged (got) keep the histograms
+        # equal to the count dicts' value counts, with no zero entries
+        for state in (left, right, got, want):
+            for cnt, hist in ((state.s_cnt, state.s_hist), (state.g_cnt, state.g_hist)):
+                assert hist == Counter(cnt.values())
+                assert 0 not in hist and 0 not in hist.values()
+        assert [[getattr(x, f) for f in fields] for x in (left, right)] == before

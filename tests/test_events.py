@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,11 @@ class TestDiscretize:
         d = discretize_by_width(ev, 1.0)
         assert d.T == 10
         assert d.delta_t == 1.0
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_by_width_rejects_non_finite_or_non_positive_width(self, width):
+        with pytest.raises(ValueError, match="finite delta_t"):
+            discretize_by_width(sample_events(), width)
 
     def test_on_grid_rejects_outside_times(self):
         ev = parse_events([("a", "x", 5.0)])

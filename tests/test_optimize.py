@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import sample_events, random_event_set
 from hyperbin import (
@@ -137,6 +139,34 @@ class TestSolveDp:
                 assert math.isinf(best[j])
             else:
                 assert best[j] == pytest.approx(ref, abs=1e-9)
+
+
+@st.composite
+def small_grids(draw):
+    """Random events on a unit grid of at most 10 steps."""
+    T = draw(st.integers(1, 10))
+    S, D, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    ints = lambda hi: st.lists(st.integers(0, hi), min_size=m, max_size=m)
+    ev = EventSet(
+        sources=draw(ints(S - 1)),
+        dests=draw(ints(D - 1)),
+        times=[t + 0.5 for t in sorted(draw(ints(T - 1)))],
+        source_labels=tuple(f"s{i}" for i in range(S)),
+        dest_labels=tuple(f"d{i}" for i in range(D)),
+    )
+    return discretize_on_grid(ev, T, 0.0, 1.0)
+
+
+class TestDpProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(d=small_grids())
+    def test_dp_equals_bruteforce(self, d):
+        r_dp, r_bf = solve_dp(d), solve_bruteforce(d)
+        assert abs(r_dp.dl.decoupled_total - r_bf.dl.decoupled_total) <= 1e-9
+        assert (
+            r_dp.partition.cluster_of_event.tolist()
+            == r_bf.partition.cluster_of_event.tolist()
+        )
 
 
 class TestSolveGreedy:
