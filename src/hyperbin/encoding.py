@@ -208,10 +208,10 @@ class IntervalCostEngine:
     Same objective as cluster_dl, organized for the optimizers: fixed
     per-timestep counts live in prefix tables over the occupied steps so the
     time-margin side of the cost is O(1), and source/destination/edge margins
-    come from an incrementally maintained MarginState. Appending an eventless
-    timestep to an interval changes the cost by a single closed-form width
-    increment, which is what makes the dynamic program's O(1) endpoint
-    updates valid.
+    come from an incrementally maintained MarginState. The width enters the
+    cost only through `width_bits`, so the cost of one range of occupied
+    steps at any other width is an O(1) correction, which is what lets the
+    dynamic program evaluate each range once.
     """
 
     def __init__(self, d: DiscretizedEvents):
@@ -224,7 +224,7 @@ class IntervalCostEngine:
         self.const = decoupled_constant(self.N, self.T)
 
         counts = d.events_in_step
-        self.step_events = counts.tolist()
+        self.occupied = np.flatnonzero(counts).tolist()
         self.cum_events = np.concatenate([[0], np.cumsum(counts)]).tolist()
         self.occ_rank = np.concatenate([[0], np.cumsum(counts > 0)]).tolist()
         occ_np = counts[counts > 0]
@@ -284,18 +284,25 @@ class IntervalCostEngine:
         ms = (lgt[y : y + self.N + 1] - lgt[y] - lgt[1 : self.N + 2]) / LN2
         return ms.tolist()
 
-    def add_step_events(self, state: MarginState, step: int) -> None:
-        sp, dp, gp = self.step_pairs[self.occ_rank[step]]
+    def add_occupied_step(self, state: MarginState, p: int) -> None:
+        """Add the events of the p-th occupied step (`occupied[p]`)."""
+        sp, dp, gp = self.step_pairs[p]
         state.add_counts(sp, dp, gp, self.lgt)
 
     def state_for_interval(self, a: int, z: int) -> MarginState:
         """Margin state for the events of steps [a, z)."""
         state = MarginState()
-        lgt = self.lgt
         for p in range(self.occ_rank[a], self.occ_rank[z]):
-            sp, dp, gp = self.step_pairs[p]
-            state.add_counts(sp, dp, gp, lgt)
+            self.add_occupied_step(state, p)
         return state
+
+    def width_bits(self, m: int, tau: int) -> float:
+        """The width-dependent part of a cluster's cost: the timestep
+        multiset term of m events on tau steps without its lgamma(m + 1),
+        log2 of tau (tau + 1) ... (tau + m - 1). Concave in tau, which is
+        why an optimal cut sits at one end of its eventless gap."""
+        lgt = self.lgt
+        return (lgt[m + tau] - lgt[tau]) / LN2
 
     def _ec(self, m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
         """Effective-columns bits (combinatorics.ec_bits) of the nr x nc
@@ -332,13 +339,13 @@ class IntervalCostEngine:
         m = state.m
         if m == 0:
             return INF
-        tau = z - a
         lgt = self.lgt
         bits = (
             self.const
             + self.msS[m]
             + self.msD[m]
-            + (lgt[m + tau] - lgt[tau] - lgt[m + 1]) / LN2
+            + self.width_bits(m, z - a)
+            - lgt[m + 1] / LN2
         )
         # sources x destinations
         nr = len(state.s_cnt)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Literal
@@ -92,60 +91,50 @@ def _finish(
     )
 
 
-def _dp_table(eng: IntervalCostEngine) -> tuple[list[float], list[int]]:
-    """Run the segmentation recursion; best[j] is the optimal decoupled cost
-    of the first j timesteps and parent[j] the start of its final cluster.
+def _dp_table(eng: IntervalCostEngine) -> tuple[dict[int, float], dict[int, int]]:
+    """Run the segmentation recursion over the candidate cut positions: 0, T
+    and both ends of every eventless gap between occupied steps. A cut inside
+    a gap only moves the two width terms next to it, both concave in its
+    position, so an optimal cut sits at a gap end. best[j] is the optimal
+    decoupled cost of the first j timesteps and parent[j] the start of its
+    final cluster, for every candidate j.
 
-    Interval costs are kept for the current right endpoint j: when step j-1
-    holds no events the whole row is carried over with O(1) width
-    increments, and when it does, the row is rebuilt scanning i downward,
-    with a full evaluation only at event-bearing i (eventless i derive from
-    the [i+1, j) cell in O(1)). Ties pick the smallest i (longest final
-    cluster).
+    Each of the P(P+1)/2 ranges of occupied steps costs one interval_cost
+    call, at its tightest width; its other gap-end widths differ only in
+    width_bits. Ties pick the smallest start (longest final cluster).
     """
-    T = eng.T
-    step_events = eng.step_events
-    cum = eng.cum_events
-    log2 = math.log2
+    occ = eng.occupied
+    # candidate cuts before each occupied step (one when its gap is empty)
+    cuts = [(0,)] + [(a + 1, z) if a + 1 < z else (z,) for a, z in zip(occ, occ[1:])]
+    cuts.append((eng.T,))
+    width = eng.width_bits
 
-    best = [INF] * (T + 1)
-    best[0] = 0.0
-    parent = [0] * (T + 1)
-    cost_row = [INF] * T  # cost_row[i] = cost of cluster [i, j) for current j
-
-    for j in range(1, T + 1):
-        last = j - 1
-        if step_events[last] == 0:
-            cum_j = cum[j]
-            for i in range(last):
-                c = cost_row[i]
-                if c != INF:
-                    w = last - i  # previous width of [i, j-1)
-                    cost_row[i] = c + log2((cum_j - cum[i] + w) / w)
-            cost_row[last] = INF
-        else:
-            state = MarginState()
-            cum_j = cum[j]
-            for i in range(last, -1, -1):
-                if step_events[i] > 0:
-                    eng.add_step_events(state, i)
-                    cost_row[i] = eng.interval_cost(i, j, state)
-                else:
-                    c = cost_row[i + 1]
-                    if c == INF:
-                        cost_row[i] = INF
-                    else:
-                        w = j - i - 1
-                        cost_row[i] = c + log2((cum_j - cum[i] + w) / w)
-        bj = INF
-        arg = 0
-        for i in range(j):
-            v = best[i] + cost_row[i]
-            if v < bj:
-                bj = v
-                arg = i
-        best[j] = bj
-        parent[j] = arg
+    best = {0: 0.0}
+    parent = {0: 0}
+    for p1 in range(1, len(cuts)):
+        ends = cuts[p1]
+        z = ends[0]  # tightest end: just past the last event step
+        row = [INF] * len(ends)
+        arg = [0] * len(ends)
+        state = MarginState()
+        # starts scanned downward and ties taken, so the smallest start wins
+        for p0 in range(p1 - 1, -1, -1):
+            eng.add_occupied_step(state, p0)
+            starts = cuts[p0]
+            a = starts[-1]  # tightest start: the first event step
+            c = eng.interval_cost(a, z, state)
+            m = state.m
+            w = width(m, z - a)
+            for s in reversed(starts):
+                prefix = best[s]
+                for k, e in enumerate(ends):
+                    v = prefix + (c + (width(m, e - s) - w))
+                    if v <= row[k]:
+                        row[k] = v
+                        arg[k] = s
+        for e, v, s in zip(ends, row, arg):
+            best[e] = v
+            parent[e] = s
     return best, parent
 
 
@@ -153,8 +142,9 @@ def solve_dp(d: DiscretizedEvents) -> BinningResult:
     """Globally optimal binning by dynamic programming.
 
     Minimizes the decoupled description length over all binnings with no
-    eventless cluster, selecting the number of bins automatically; roughly
-    O(T^2) once margins are cheap relative to the timestep count.
+    eventless cluster, selecting the number of bins automatically. Costs
+    P(P+1)/2 interval evaluations for P occupied timesteps; T only enters
+    the O(T) set-up of the cost engine.
     """
     t0 = time.perf_counter()
     eng = IntervalCostEngine(d)
@@ -199,7 +189,7 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     t0 = time.perf_counter()
     eng = IntervalCostEngine(d)
     T = d.T
-    occupied = [t for t in range(T) if eng.step_events[t] > 0]
+    occupied = eng.occupied
     P = len(occupied)
 
     clusters: list[_GreedyCluster] = []

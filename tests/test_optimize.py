@@ -120,7 +120,12 @@ class TestSolveDp:
         eng = IntervalCostEngine(d)
         best, _ = _dp_table(eng)
         cum = eng.cum_events
-        for j in range(1, d.T + 1):
+        # the table holds 0, T and both ends of every eventless gap
+        occ = eng.occupied
+        gap_ends = {e for a, z in zip(occ, occ[1:]) for e in (a + 1, z)}
+        assert set(best) == {0, d.T} | gap_ends
+        assert best[0] == 0.0
+        for j in sorted(best)[1:]:
             ref = math.inf
             for cut_count in range(j):
                 for cuts in itertools.combinations(range(1, j), cut_count):
@@ -135,22 +140,68 @@ class TestSolveDp:
                         for a, z in zip(bounds, bounds[1:])
                     )
                     ref = min(ref, total)
-            if math.isinf(ref):
-                assert math.isinf(best[j])
-            else:
-                assert best[j] == pytest.approx(ref, abs=1e-9)
+            assert best[j] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("gap", [1, 2, 5])
+    @pytest.mark.parametrize("left, right", [(5, 5), (2, 8), (8, 2)])
+    def test_gap_goes_to_the_smaller_cluster_and_ties_keep_the_smallest_start(
+        self, gap, left, right
+    ):
+        # the eventless gap joins the cluster with fewer events; two clusters
+        # of equal shape cost the same with the cut at either end of it, and
+        # the tie goes to the longest final cluster
+        ev = parse_events([("a", "x", 0.5)] * left + [("b", "y", gap + 1.5)] * right)
+        d = discretize_on_grid(ev, gap + 2, 0.0, 1.0)
+        expected = (gap + 1, 1) if left < right else (1, gap + 1)
+        assert solve_dp(d).binning.widths == expected
+
+    def test_interval_evaluations_do_not_grow_with_T(self, monkeypatch):
+        from hyperbin.encoding import IntervalCostEngine
+        from hyperbin.optimize import _dp_table
+
+        calls = []
+        original = IntervalCostEngine.interval_cost
+
+        def counted(self, a, z, state):
+            calls.append((a, z))
+            return original(self, a, z, state)
+
+        monkeypatch.setattr(IntervalCostEngine, "interval_cost", counted)
+        rng = np.random.default_rng(108)
+        steps = [0, 1, 4, 9, 10, 17, 30]
+        ev = EventSet(
+            sources=rng.integers(0, 3, 40),
+            dests=rng.integers(0, 3, 40),
+            times=np.sort(rng.choice(steps, 40)) + 0.5,
+            source_labels=("a", "b", "c"),
+            dest_labels=("x", "y", "z"),
+        )
+        P = len(steps)
+        positions = []
+        for T in (40, 320):
+            calls.clear()
+            d = discretize_on_grid(ev, T, 0.0, 1.0)
+            assert int(np.count_nonzero(d.events_in_step)) == P
+            solve_dp(d)
+            assert len(calls) == P * (P + 1) // 2
+            best, _ = _dp_table(IntervalCostEngine(d))
+            positions.append(set(best) - {T})
+        assert positions[0] == positions[1]
 
 
 @st.composite
 def small_grids(draw):
-    """Random events on a unit grid of at most 10 steps."""
+    """Random events on a unit grid of at most 10 steps; sometimes all on at
+    most 3 distinct steps, which leaves wide eventless gaps between them."""
     T = draw(st.integers(1, 10))
     S, D, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
     ints = lambda hi: st.lists(st.integers(0, hi), min_size=m, max_size=m)
+    pool = draw(st.none() | st.lists(st.integers(0, T - 1), min_size=1, max_size=3, unique=True))
+    step = st.integers(0, T - 1) if pool is None else st.sampled_from(pool)
     ev = EventSet(
         sources=draw(ints(S - 1)),
         dests=draw(ints(D - 1)),
-        times=[t + 0.5 for t in sorted(draw(ints(T - 1)))],
+        times=[t + 0.5 for t in sorted(draw(st.lists(step, min_size=m, max_size=m)))],
         source_labels=tuple(f"s{i}" for i in range(S)),
         dest_labels=tuple(f"d{i}" for i in range(D)),
     )
