@@ -335,17 +335,20 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def _positive_int(text: str) -> int:
+    # a count of at least one
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def _steps(text: str) -> int | str:
     # "auto" or a positive timestep count
-    if text == "auto":
-        return text
-    try:
-        T = int(text)
-    except ValueError:
-        T = 0
-    if T < 1:
-        raise argparse.ArgumentTypeError(f'expected "auto" or an integer >= 1, got {text!r}')
-    return T
+    return text if text == "auto" else _positive_int(text)
 
 
 def _width(text: str) -> float:
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin.add_argument("--T", type=_steps, default="auto", help='timestep count or "auto" (min(N, 5000))')
     p_bin.add_argument("--delta-t", type=_width, default=None, help="timestep width (overrides --T)")
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
-    p_bin.add_argument("--K", type=int, default=None, help="cluster count for the baselines")
+    p_bin.add_argument("--K", type=_positive_int, default=None, help="cluster count for the baselines")
     p_bin.add_argument("--baselines", action="store_true")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("results", nargs="+", help="binning result JSON files")
     p_metrics.add_argument("--input", required=True, help="the events CSV the results refer to")
     p_metrics.add_argument("--output", required=True)
-    p_metrics.add_argument("--samples", type=int, default=100)
+    p_metrics.add_argument("--samples", type=_positive_int, default=100)
     p_metrics.add_argument("--seed", type=int, default=0)
 
     return parser

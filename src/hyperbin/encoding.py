@@ -216,7 +216,6 @@ class IntervalCostEngine:
 
     def __init__(self, d: DiscretizedEvents):
         base = d.base
-        self.d = d
         self.T = d.T
         self.N = base.N
         self.S = base.S
@@ -228,7 +227,6 @@ class IntervalCostEngine:
         self.cum_events = np.concatenate([[0], np.cumsum(counts)]).tolist()
         self.occ_rank = np.concatenate([[0], np.cumsum(counts > 0)]).tolist()
         occ_np = counts[counts > 0]
-        self.occ_counts = occ_np.tolist()
         P = len(occ_np)
 
         # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments can
@@ -371,7 +369,3 @@ class IntervalCostEngine:
             float(row[p1] - row[p0]),
         )
         return bits
-
-    def single_cluster_cost(self) -> float:
-        """Decoupled cost of the all-in-one-bin solution (the K=1 reference)."""
-        return self.interval_cost(0, self.T, self.state_for_interval(0, self.T))

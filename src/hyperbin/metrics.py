@@ -55,6 +55,8 @@ def ccami(a: EventPartition, b: EventPartition, samples: int = 100, rng=None) ->
     """
     if a.N != b.N:
         raise ValueError(f"partitions cover {a.N} and {b.N} events")
+    if samples < 1:
+        raise ValueError(f"ccami needs samples >= 1, got {samples}")
     if a.K == 1 and b.K == 1:
         return 1.0
     if a.K == 1 or b.K == 1:

@@ -1,14 +1,14 @@
 """Binning optimizers for the decoupled description-length objective.
 
 solve_dp finds the global optimum with the classic one-dimensional
-segmentation recursion; solve_greedy agglomerates adjacent clusters with a
-lazy priority queue; solve_bruteforce enumerates all compositions (small T
-oracle); two naive baselines bin by equal duration or equal event counts.
+segmentation recursion; solve_greedy agglomerates adjacent clusters, always
+merging the pair with the best change; solve_bruteforce enumerates all
+compositions (small T oracle); two naive baselines bin by equal duration or
+equal event counts.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -159,20 +159,6 @@ def solve_dp(d: DiscretizedEvents) -> BinningResult:
     return _finish(d, Binning(tuple(widths)), "exact_dp", time.perf_counter() - t0, cap_at_single=True)
 
 
-class _GreedyCluster:
-    __slots__ = ("start", "end", "state", "cost", "prev", "next", "version", "alive")
-
-    def __init__(self, start, end, state, cost):
-        self.start = start  # first timestep (inclusive)
-        self.end = end  # last timestep (inclusive)
-        self.state = state
-        self.cost = cost
-        self.prev = -1
-        self.next = -1
-        self.version = 0
-        self.alive = True
-
-
 def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     """Agglomerative heuristic: repeatedly merge the adjacent cluster pair
     with the best description-length change until one cluster remains, then
@@ -182,90 +168,54 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     on their right (trailing ones to the last cluster) so every scored
     cluster holds at least one event. Merges continue even when the best
     change is an increase; the minimum over all recorded states wins.
-    Candidate pairs live in a lazy heap keyed by (delta, left start), so
-    equal deltas merge the leftmost pair; after a merge only the two pair
-    deltas touching the new cluster are recomputed.
+    Pair changes live in a flat array scanned for its first minimum, so
+    equal changes merge the leftmost pair; after a merge only the two pair
+    changes touching the new cluster are recomputed. Each merge logs the
+    start it removes, and the best configuration is rebuilt once at the end.
     """
     t0 = time.perf_counter()
     eng = IntervalCostEngine(d)
     T = d.T
-    occupied = eng.occupied
-    P = len(occupied)
+    # cluster k covers steps [starts[k], starts[k + 1]), the last one up to T
+    starts = [0] + [e + 1 for e in eng.occupied[:-1]]
+    initial_starts = list(starts)
+    states, costs = [], []
+    for a, z in zip(starts, starts[1:] + [T]):
+        states.append(eng.state_for_interval(a, z))
+        costs.append(eng.interval_cost(a, z, states[-1]))
 
-    clusters: list[_GreedyCluster] = []
-    start = 0
-    for p, e in enumerate(occupied):
-        end = T - 1 if p == P - 1 else e
-        state = eng.state_for_interval(start, end + 1)
-        cost = eng.interval_cost(start, end + 1, state)
-        clusters.append(_GreedyCluster(start, end, state, cost))
-        start = e + 1
-    for p, cl in enumerate(clusters):
-        cl.prev = p - 1
-        cl.next = p + 1 if p < P - 1 else -1
+    def merge(k: int) -> tuple[MarginState, float]:
+        """State and cost of clusters k and k + 1 as one cluster."""
+        z = starts[k + 2] if k + 2 < len(starts) else T
+        state = MarginState.merged(states[k], states[k + 1], eng.lgt)
+        return state, eng.interval_cost(starts[k], z, state)
 
-    total = sum(cl.cost for cl in clusters)
-    head = 0
-    best_total = total
-    best_widths = [cl.end - cl.start + 1 for cl in clusters]
+    def delta(k: int) -> float:
+        return merge(k)[1] - costs[k] - costs[k + 1]
 
-    def pair_delta(li: int) -> tuple[float, "_GreedyCluster"]:
-        left = clusters[li]
-        right = clusters[left.next]
-        merged_state = MarginState.merged(left.state, right.state, eng.lgt)
-        cost = eng.interval_cost(left.start, right.end + 1, merged_state)
-        merged = _GreedyCluster(left.start, right.end, merged_state, cost)
-        return cost - left.cost - right.cost, merged
-
-    heap: list[tuple[float, int, int, int, int, int]] = []
-    for li, cl in enumerate(clusters):
-        if cl.next != -1:
-            delta, _ = pair_delta(li)
-            heapq.heappush(heap, (delta, cl.start, li, cl.next, cl.version, clusters[cl.next].version))
-
-    k = P
-    while k > 1:
-        delta, _, li, ri, vl, vr = heapq.heappop(heap)
-        left, right = clusters[li], clusters[ri]
-        if not (left.alive and right.alive) or left.next != ri:
-            continue
-        if left.version != vl or right.version != vr:
-            continue
-        _, merged = pair_delta(li)
-        left.state = right.state = None  # merged away: free their margins
-        merged.prev = left.prev
-        merged.next = right.next
-        merged_idx = len(clusters)
-        clusters.append(merged)
-        left.alive = right.alive = False
-        if merged.prev != -1:
-            clusters[merged.prev].next = merged_idx
-            clusters[merged.prev].version += 1
-        else:
-            head = merged_idx
-        if merged.next != -1:
-            clusters[merged.next].prev = merged_idx
-            clusters[merged.next].version += 1
-        total += merged.cost - left.cost - right.cost
-        k -= 1
+    deltas = np.array([delta(k) for k in range(len(starts) - 1)], dtype=float)
+    total = best_total = sum(costs)
+    merge_log: list[int] = []  # the start each merge removed, in order
+    n_best = 0
+    while len(starts) > 1:
+        k = int(np.argmin(deltas))  # first minimum: the leftmost pair
+        state, cost = merge(k)
+        total += cost - costs[k] - costs[k + 1]
+        states[k], costs[k] = state, cost
+        del states[k + 1], costs[k + 1]
+        merge_log.append(starts.pop(k + 1))
+        deltas = np.delete(deltas, k)
+        if k > 0:
+            deltas[k - 1] = delta(k - 1)
+        if k < len(starts) - 1:
+            deltas[k] = delta(k)
         if total < best_total:
-            best_total = total
-            widths = []
-            idx = head
-            while idx != -1:
-                cl = clusters[idx]
-                widths.append(cl.end - cl.start + 1)
-                idx = cl.next
-            best_widths = widths
-        if merged.prev != -1:
-            dlt, _ = pair_delta(merged.prev)
-            pl = clusters[merged.prev]
-            heapq.heappush(heap, (dlt, pl.start, merged.prev, merged_idx, pl.version, merged.version))
-        if merged.next != -1:
-            dlt, _ = pair_delta(merged_idx)
-            heapq.heappush(heap, (dlt, merged.start, merged_idx, merged.next, merged.version, clusters[merged.next].version))
+            best_total, n_best = total, len(merge_log)
 
-    return _finish(d, Binning(tuple(best_widths)), "greedy", time.perf_counter() - t0, cap_at_single=True)
+    merged_away = set(merge_log[:n_best])
+    bounds = [a for a in initial_starts if a not in merged_away] + [T]
+    widths = tuple(z - a for a, z in zip(bounds, bounds[1:]))
+    return _finish(d, Binning(widths), "greedy", time.perf_counter() - t0, cap_at_single=True)
 
 
 def solve_bruteforce(d: DiscretizedEvents) -> BinningResult:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hyperbin import EventSet, parse_events
+from hyperbin import EventSet, IntervalCostEngine, parse_events
 
 # 10 events over 4 sources and 3 destinations, placed on a 12-step grid so
 # that the first 6 events land in steps 0-5 and the last 4 in steps 7-11.
@@ -34,3 +34,34 @@ def random_event_set(rng, n, s, d, span=100.0) -> EventSet:
         source_labels=tuple(f"s{i}" for i in range(s)),
         dest_labels=tuple(f"d{i}" for i in range(d)),
     )
+
+
+def reference_greedy(d) -> tuple[tuple[int, ...], float]:
+    """Naive agglomerative greedy: the widths and the search-time cost of the
+    best configuration seen.
+
+    Starts from one cluster per event-bearing step (eventless steps attached
+    to the step on their right, trailing ones to the last cluster). Each round
+    rescores every adjacent pair from scratch and merges the leftmost pair
+    with the smallest change, down to one cluster.
+    """
+    eng = IntervalCostEngine(d)
+    bounds = [0] + [e + 1 for e in eng.occupied[:-1]] + [d.T]
+
+    def cost(a, z):
+        return eng.interval_cost(a, z, eng.state_for_interval(a, z))
+
+    total = sum(cost(a, z) for a, z in zip(bounds, bounds[1:]))
+    best = (total, list(bounds))
+    while len(bounds) > 2:
+        deltas = [
+            cost(a, z) - cost(a, b) - cost(b, z)
+            for a, b, z in zip(bounds, bounds[1:], bounds[2:])
+        ]
+        k = deltas.index(min(deltas))
+        total += deltas[k]
+        del bounds[k + 1]
+        if total < best[0]:
+            best = (total, list(bounds))
+    total, bounds = best
+    return tuple(z - a for a, z in zip(bounds, bounds[1:])), total

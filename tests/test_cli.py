@@ -167,6 +167,15 @@ class TestMetricsCommand:
         assert len(doc["ccami_matrix"]) == 4
         assert all(len(row) == 4 for row in doc["ccami_matrix"])
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_samples_is_a_usage_error(self, workspace, tmp_path, samples):
+        events, result = workspace
+        out = tmp_path / "metrics.json"
+        with pytest.raises(SystemExit) as exc:
+            run("metrics", result, "--input", events, "--output", out, "--samples", samples)
+        assert exc.value.code == 1
+        assert not out.exists()
+
     def test_mismatched_dataset_rejected(self, workspace, tmp_path):
         events, result = workspace
         other = tmp_path / "other.csv"
@@ -252,6 +261,16 @@ class TestExitCodes:
             main(["bin", "--input", str(events), "--output", str(tmp_path / "out.json"),
                   "--T", value])
         assert exc.value.code == 1
+
+    def test_zero_K_is_a_usage_error(self, tmp_path):
+        events = tmp_path / "events.csv"
+        write_sample_csv(events)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", "--input", str(events), "--output", str(out), "--baselines",
+                  "--K", "0"])
+        assert exc.value.code == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
     def test_bad_delta_t_is_a_usage_error(self, tmp_path, value):

@@ -229,7 +229,7 @@ class TestIntervalCostEngine:
     def test_single_cluster_cost(self):
         d = discretize(sample_events(), 12)
         eng = IntervalCostEngine(d)
-        assert eng.single_cluster_cost() == pytest.approx(
+        assert eng.interval_cost(0, 12, eng.state_for_interval(0, 12)) == pytest.approx(
             total_dl_exact(d, Binning((12,))).decoupled_total, abs=1e-9
         )
 

@@ -62,6 +62,11 @@ class TestCcami:
         with pytest.raises(ValueError):
             ccami(partition([5, 5]), partition([4, 4]))
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            ccami(partition([3, 5, 2]), partition([4, 6]), samples=samples, rng=0)
+
     def test_skewed_self_comparison_still_one(self):
         p = partition([999, 1])
         assert ccami(p, p, rng=0) == 1.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sample_events, random_event_set
+from helpers import sample_events, random_event_set, reference_greedy
 from hyperbin import (
     Binning,
     EmptyClusterError,
@@ -255,6 +255,33 @@ class TestSolveGreedy:
         assert res.K >= 2
         labels = res.partition.cluster_of_event
         assert labels[99] != labels[100]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(d=small_grids())
+    def test_equals_reference_greedy(self, d):
+        widths, dl = reference_greedy(d)
+        res = solve_greedy(d)
+        assert res.binning.widths == widths
+        assert abs(res.dl.decoupled_total - dl) <= 1e-9
+
+    def test_rescores_the_pairs_next_to_each_merge(self):
+        # clusters start at steps 0, 1, 2, 7, 8. The first two merges
+        # (7 with 8, then 2 with both) change a neighbour of the best
+        # remaining pair, steps 0 and 1; a greedy that drops that pair from
+        # its candidates ends at the single bin (9,), 41.32 bits, instead
+        # of the optimum (2, 7), 40.73 bits
+        steps = [0, 0, 1, 1, 1, 1, 6, 7, 8]
+        ev = EventSet(
+            sources=[0, 0, 2, 2, 2, 2, 2, 1, 0],
+            dests=[0, 0, 1, 1, 1, 0, 1, 1, 1],
+            times=[t + 0.5 for t in steps],
+            source_labels=("s0", "s1", "s2"),
+            dest_labels=("d0", "d1"),
+        )
+        d = discretize_on_grid(ev, 9, 0.0, 1.0)
+        res = solve_greedy(d)
+        assert res.binning.widths == (2, 7) == reference_greedy(d)[0]
+        assert res.dl.decoupled_total == pytest.approx(solve_dp(d).dl.decoupled_total, abs=1e-9)
 
 
 class TestBruteforce:
