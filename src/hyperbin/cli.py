@@ -32,7 +32,7 @@ from .events import (
     induce_partition,
     read_events_csv,
 )
-from .metrics import ccami, gap_ratio_alpha, jsd_edges
+from .metrics import ccami, eta_ratio, gap_ratio_alpha, jsd_edges
 from .optimize import (
     BinningResult,
     baseline_uniform_count,
@@ -290,7 +290,7 @@ def cmd_metrics(args: argparse.Namespace) -> Path:
                     "method": res["method"],
                     "K": res["K"],
                     "eta": res["eta"],
-                    "eta_recomputed": res["dl"]["decoupled"] / ref_dl,
+                    "eta_recomputed": eta_ratio(res["dl"]["decoupled"], ref_dl),
                     "alpha": gap_ratio_alpha(ev, part),
                     "jsd_edges": jsd_edges(snaps),
                 }
@@ -327,10 +327,6 @@ def cmd_metrics(args: argparse.Namespace) -> Path:
     return out
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
 def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
@@ -344,6 +340,14 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return n
+
+
+def _positive_int_list(text: str) -> list[int]:
+    # a non-empty comma-separated list of counts
+    counts = [_positive_int(x) for x in text.split(",") if x]
+    if not counts:
+        raise argparse.ArgumentTypeError(f"expected integers >= 1, got {text!r}")
+    return counts
 
 
 def _steps(text: str) -> int | str:
@@ -377,26 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--N", type=int, required=True)
-    p_synth.add_argument("--T", type=int, required=True)
-    p_synth.add_argument("--K", type=int, required=True)
-    p_synth.add_argument("--S", type=int, default=5)
-    p_synth.add_argument("--D", type=int, default=5)
+    p_synth.add_argument("--N", type=_positive_int, required=True)
+    p_synth.add_argument("--T", type=_positive_int, required=True)
+    p_synth.add_argument("--K", type=_positive_int, required=True)
+    p_synth.add_argument("--S", type=_positive_int, default=5)
+    p_synth.add_argument("--D", type=_positive_int, default=5)
     p_synth.add_argument("--gamma", type=float, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run a reconstruction sweep grid")
     p_sweep.add_argument("--output", required=True)
-    p_sweep.add_argument("--N", type=_int_list, default=list(DEFAULT_SWEEP_N))
-    p_sweep.add_argument("--T", type=_int_list, default=list(DEFAULT_SWEEP_T))
-    p_sweep.add_argument("--K", type=_int_list, default=list(DEFAULT_SWEEP_K))
+    p_sweep.add_argument("--N", type=_positive_int_list, default=list(DEFAULT_SWEEP_N))
+    p_sweep.add_argument("--T", type=_positive_int_list, default=list(DEFAULT_SWEEP_T))
+    p_sweep.add_argument("--K", type=_positive_int_list, default=list(DEFAULT_SWEEP_K))
     p_sweep.add_argument("--gamma", type=_float_list, default=list(DEFAULT_SWEEP_GAMMA))
-    p_sweep.add_argument("--S", type=int, default=5)
-    p_sweep.add_argument("--D", type=int, default=5)
-    p_sweep.add_argument("--reps", type=int, default=30)
+    p_sweep.add_argument("--S", type=_positive_int, default=5)
+    p_sweep.add_argument("--D", type=_positive_int, default=5)
+    p_sweep.add_argument("--reps", type=_positive_int, default=30)
     p_sweep.add_argument("--method", choices=["exact", "greedy", "both"], default="both")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
+    p_sweep.add_argument("--jobs", type=_positive_int, default=min(8, os.cpu_count() or 1))
 
     p_metrics = sub.add_parser("metrics", help="evaluate stored binning results")
     p_metrics.add_argument("results", nargs="+", help="binning result JSON files")

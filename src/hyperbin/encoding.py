@@ -224,7 +224,6 @@ class IntervalCostEngine:
 
         counts = d.events_in_step
         self.occupied = np.flatnonzero(counts).tolist()
-        self.cum_events = np.concatenate([[0], np.cumsum(counts)]).tolist()
         self.occ_rank = np.concatenate([[0], np.cumsum(counts > 0)]).tolist()
         occ_np = counts[counts > 0]
         P = len(occ_np)

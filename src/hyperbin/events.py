@@ -91,29 +91,20 @@ def _parse_timestamp(value, row: int) -> float:
     return stamp
 
 
-def parse_events(records: Iterable[tuple]) -> EventSet:
-    """Build an EventSet from (source_label, dest_label, timestamp) records.
-
-    Labels are mapped to dense integer ids in first-appearance order;
-    timestamps may be finite numbers or ISO-8601 strings. Events are stably
-    sorted by time, so records sharing a timestamp keep their input order.
-    Duplicate (s, d, t) triples are allowed (multi-events).
-    """
+def _events_from_rows(rows: Iterable[tuple[int, Sequence]]) -> EventSet:
+    # the one ingest loop, over (row number, record) pairs
     src_ids: dict[str, int] = {}
     dst_ids: dict[str, int] = {}
     sources, dests, times = [], [], []
-    row = 0
-    for rec in records:
-        row += 1
+    for row, rec in rows:
         try:
             s_label, d_label, t_raw = rec
         except ValueError:
             raise EventDataError(f"row {row}: expected 3 fields, got {rec!r}") from None
-        s_label, d_label = str(s_label), str(d_label)
-        sources.append(src_ids.setdefault(s_label, len(src_ids)))
-        dests.append(dst_ids.setdefault(d_label, len(dst_ids)))
+        sources.append(src_ids.setdefault(str(s_label), len(src_ids)))
+        dests.append(dst_ids.setdefault(str(d_label), len(dst_ids)))
         times.append(_parse_timestamp(t_raw, row))
-    if row == 0:
+    if not times:
         raise EventDataError("no events in input")
     order = np.argsort(np.asarray(times), kind="stable")
     return EventSet(
@@ -125,13 +116,25 @@ def parse_events(records: Iterable[tuple]) -> EventSet:
     )
 
 
+def parse_events(records: Iterable[tuple]) -> EventSet:
+    """Build an EventSet from (source_label, dest_label, timestamp) records.
+
+    Labels are mapped to dense integer ids in first-appearance order;
+    timestamps may be finite numbers or ISO-8601 strings. Events are stably
+    sorted by time, so records sharing a timestamp keep their input order.
+    Duplicate (s, d, t) triples are allowed (multi-events).
+    """
+    return _events_from_rows(enumerate(records, start=1))
+
+
 CSV_HEADER = ("source", "destination", "timestamp")
 
 
 def read_events_csv(path) -> EventSet:
     """Read events from a CSV file with header source,destination,timestamp.
 
-    The file is read as UTF-8; a leading byte-order mark is skipped."""
+    The file is read as UTF-8; a leading byte-order mark and blank rows are
+    skipped. Errors name the file and the row, the header being row 1."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -142,20 +145,10 @@ def read_events_csv(path) -> EventSet:
             raise EventDataError(
                 f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
             )
-        records = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise EventDataError(f"{path}: row {lineno}: expected 3 columns")
-            try:
-                stamp = _parse_timestamp(fields[2], lineno)
-            except EventDataError as exc:
-                raise EventDataError(f"{path}: {exc}") from None
-            records.append((fields[0], fields[1], stamp))
-    if not records:
-        raise EventDataError(f"{path}: no event rows")
-    return parse_events(records)
+        try:
+            return _events_from_rows((n, f) for n, f in enumerate(reader, start=2) if f)
+        except EventDataError as exc:
+            raise EventDataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,17 @@ from .events import Binning, DiscretizedEvents, EventPartition, EventSet, Hyperg
 from .synth import as_generator, sample_positive_composition
 
 
+def eta_ratio(dl: float, single_dl: float) -> float:
+    """Inverse compression ratio: `dl` over `single_dl`, the decoupled
+    description length of the single-cluster binning. A zero-bit reference
+    happens only for the fully degenerate N=S=D=T=1 dataset, where the
+    single binning describes itself, so eta is 1 there."""
+    return dl / single_dl if single_dl > 0 else 1.0
+
+
 def inverse_compression_ratio(dl_opt: float, d: DiscretizedEvents) -> float:
     """Ratio of `dl_opt` to the decoupled description length at K=1."""
-    ref = total_dl_exact(d, Binning((d.T,))).decoupled_total
-    if ref == 0:  # fully degenerate N=S=D=T=1 dataset
-        return 1.0
-    return dl_opt / ref
+    return eta_ratio(dl_opt, total_dl_exact(d, Binning((d.T,))).decoupled_total)
 
 
 def _entropy_bits(sizes: np.ndarray, n: int) -> float:

@@ -31,6 +31,7 @@ from .events import (
     canonical_binning,
     induce_partition,
 )
+from .metrics import eta_ratio
 
 Method = Literal[
     "exact_dp", "greedy", "brute_force", "uniform_duration", "uniform_count"
@@ -82,9 +83,7 @@ def _finish(
         binning_canonical=canonical_binning(d, binning),
         partition=induce_partition(d, binning),
         dl=dl,
-        # a zero-bit reference happens only for the fully degenerate
-        # N=S=D=T=1 dataset, where the single binning describes itself
-        eta=dl.decoupled_total / ref if ref > 0 else 1.0,
+        eta=eta_ratio(dl.decoupled_total, ref),
         method=method,
         runtime_seconds=runtime,
         K=binning.K,
@@ -221,25 +220,23 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
 def solve_bruteforce(d: DiscretizedEvents) -> BinningResult:
     """Exhaustive minimum over all compositions of T (test oracle).
 
-    Compositions with an eventless cluster are skipped. Ties prefer fewer
-    clusters, then lexicographically smallest widths (which is the
-    enumeration order, so the first strict minimum wins).
+    A composition with an eventless cluster costs +inf (interval_cost), so
+    it never wins. Ties prefer fewer clusters, then lexicographically
+    smallest widths (which is the enumeration order, so the first strict
+    minimum wins).
     """
     t0 = time.perf_counter()
     T = d.T
     if T > BRUTEFORCE_MAX_T:
         raise ValueError(f"brute force supports T <= {BRUTEFORCE_MAX_T}, got {T}")
     eng = IntervalCostEngine(d)
-    cum = eng.cum_events
 
     best_dl = INF
     best_widths: tuple[int, ...] | None = None
     for K in range(1, T + 1):
         for cuts in itertools.combinations(range(1, T), K - 1):
             bounds = (0,) + cuts + (T,)
-            if any(cum[bounds[k]] == cum[bounds[k + 1]] for k in range(K)):
-                continue
-            dl = 0.0
+            dl = 0.0  # +inf when some cluster holds no events
             for k in range(K):
                 a, z = bounds[k], bounds[k + 1]
                 dl += eng.interval_cost(a, z, eng.state_for_interval(a, z))

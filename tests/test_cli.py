@@ -176,6 +176,16 @@ class TestMetricsCommand:
         assert exc.value.code == 1
         assert not out.exists()
 
+    def test_one_event_dataset(self, tmp_path):
+        # N = S = D = T = 1: the single-cluster reference is 0 bits
+        events = tmp_path / "events.csv"
+        events.write_text("source,destination,timestamp\na,b,1.0\n", encoding="utf-8")
+        result, out = tmp_path / "result.json", tmp_path / "metrics.json"
+        assert run("bin", "--input", events, "--output", result) == 0
+        assert run("metrics", result, "--input", events, "--output", out) == 0
+        (entry,) = json.loads(out.read_text())["results"]
+        assert entry["eta_recomputed"] == entry["eta"] == 1.0
+
     def test_mismatched_dataset_rejected(self, workspace, tmp_path):
         events, result = workspace
         other = tmp_path / "other.csv"
@@ -294,4 +304,33 @@ class TestExitCodes:
         assert main(["bin", "--input", str(events), "--output", str(out),
                      "--delta-t", "1e-300"]) == 2
         assert "T=1.1e+301" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--N", "--T", "--K", "--S", "--D"])
+    def test_bad_synth_count_is_a_usage_error(self, tmp_path, option):
+        counts = {"--N": "50", "--T": "20", "--K": "2", "--S": "3", "--D": "3", option: "0"}
+        out = tmp_path / "events.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--output", out, "--gamma", "0.1",
+                *[x for pair in counts.items() for x in pair])
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    def test_synth_k_above_n_or_t_is_a_data_error(self, tmp_path):
+        out = tmp_path / "events.csv"
+        assert run("synth", "--output", out, "--N", 50, "--T", 3, "--K", 4,
+                   "--gamma", "0.1") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--reps", "0"), ("--S", "0"), ("--D", "0"), ("--jobs", "0"),
+         ("--N", "100,0"), ("--T", "-5"), ("--K", "2,x"), ("--K", ",")],
+    )
+    def test_bad_sweep_count_is_a_usage_error(self, tmp_path, option, value):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--output", out, "--N", "100", "--T", "25", "--K", "2",
+                "--gamma", "0.01", "--reps", 1, "--jobs", 1, option, value)
+        assert exc.value.code == 1
         assert not out.exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+
+import hyperbin.events
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -285,4 +287,36 @@ class TestCsvReader:
             f"source,destination,timestamp\nu,v,1.0\nu,v,{stamp}\n", encoding="utf-8"
         )
         with pytest.raises(EventDataError, match="row 3: .* not finite"):
+            read_events_csv(path)
+
+    def test_each_row_is_time_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = hyperbin.events._parse_timestamp
+
+        def counting(value, row):
+            calls.append(row)
+            return parse(value, row)
+
+        monkeypatch.setattr(hyperbin.events, "_parse_timestamp", counting)
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "source,destination,timestamp\n" +
+            "".join(f"{s},{t},{x}\n" for s, t, x in SAMPLE_ROWS),
+            encoding="utf-8",
+        )
+        read_events_csv(path)
+        assert calls == list(range(2, len(SAMPLE_ROWS) + 2))
+
+    def test_wrong_column_count_reports_path_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "source,destination,timestamp\nu,v,1.0\n\nu,v\n", encoding="utf-8"
+        )
+        with pytest.raises(EventDataError, match=r"bad\.csv: row 4: expected 3 fields"):
+            read_events_csv(path)
+
+    def test_header_only_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("source,destination,timestamp\n\n", encoding="utf-8")
+        with pytest.raises(EventDataError, match=r"bad\.csv: no events"):
             read_events_csv(path)

@@ -8,6 +8,7 @@ from hyperbin import (
     Binning,
     EmptyClusterError,
     EventSet,
+    IntervalCostEngine,
     baseline_uniform_count,
     baseline_uniform_duration,
     discretize,
@@ -119,7 +120,7 @@ class TestSolveDp:
         d = discretize(ev, 10)
         eng = IntervalCostEngine(d)
         best, _ = _dp_table(eng)
-        cum = eng.cum_events
+        cum = np.concatenate([[0], np.cumsum(d.events_in_step)])
         # the table holds 0, T and both ends of every eventless gap
         occ = eng.occupied
         gap_ends = {e for a, z in zip(occ, occ[1:]) for e in (a + 1, z)}
@@ -219,6 +220,23 @@ class TestDpProperties:
             == r_bf.partition.cluster_of_event.tolist()
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_row_order_does_not_change_the_optimum(self, data):
+        # label ids follow first appearance and tied times keep input order,
+        # so a shuffle can swap tied partitions but not the optimal value
+        record = st.tuples(
+            st.sampled_from("abc"), st.sampled_from("xyz"), st.integers(0, 9).map(float)
+        )
+        records = data.draw(st.lists(record, min_size=1, max_size=15))
+        shuffled = data.draw(st.permutations(records))
+        T = data.draw(st.integers(1, 10))
+        dl = [
+            solve_dp(discretize(parse_events(rows), T)).dl.decoupled_total
+            for rows in (records, shuffled)
+        ]
+        assert abs(dl[0] - dl[1]) <= 1e-9
+
 
 class TestSolveGreedy:
     def test_single_timestep_collapses_immediately(self):
@@ -282,6 +300,30 @@ class TestSolveGreedy:
         res = solve_greedy(d)
         assert res.binning.widths == (2, 7) == reference_greedy(d)[0]
         assert res.dl.decoupled_total == pytest.approx(solve_dp(d).dl.decoupled_total, abs=1e-9)
+
+    def test_equal_changes_merge_the_leftmost_pair(self):
+        # one event per step: step 1 shares its source with step 0 and its
+        # destination with step 2. With S = D the two pairs are mirror images
+        # (sources and destinations swapped), so their merge changes are
+        # bit-equal; merging the leftmost gives (2, 1), the last one (1, 2)
+        ev = EventSet(
+            sources=[0, 0, 1],
+            dests=[1, 0, 0],
+            times=[0.5, 1.5, 2.5],
+            source_labels=("s0", "s1"),
+            dest_labels=("d0", "d1"),
+        )
+        d = discretize_on_grid(ev, 3, 0.0, 1.0)
+        eng = IntervalCostEngine(d)
+
+        def cost(a, z):
+            return eng.interval_cost(a, z, eng.state_for_interval(a, z))
+
+        left = cost(0, 2) - cost(0, 1) - cost(1, 2)
+        right = cost(1, 3) - cost(1, 2) - cost(2, 3)
+        assert left == right
+        assert left < 0 and cost(0, 3) > cost(0, 2) + cost(2, 3)  # K=2 is best
+        assert solve_greedy(d).binning.widths == (2, 1) == reference_greedy(d)[0]
 
 
 class TestBruteforce:
