@@ -99,22 +99,23 @@ def _result_entry(d: DiscretizedEvents, res: BinningResult) -> dict:
 
 
 def _write_series_csv(path: Path, d: DiscretizedEvents, results: list[BinningResult]) -> None:
-    start_sets = {res.method: set(res.binning_canonical.starts()) for res in results}
+    """One row per occupied step and one per maximal eventless run of steps,
+    each covering steps [step_start, step_end). A run is split wherever a
+    method starts a cluster, so a method's boundary flag is 1 exactly on the
+    rows that open one of its clusters."""
+    start_sets = [set(res.binning_canonical.starts()) for res in results]
+    counts = dict(zip(d.occupied_steps.tolist(), d.step_counts.tolist()))
+    cuts = sorted({0, d.T}.union(*start_sets, counts, [t + 1 for t in counts]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["step", "t_min", "t_max", "events"]
+            ["step_start", "step_end", "t_min", "t_max", "events"]
             + [f"{res.method}_boundary" for res in results]
         )
-        for t in range(d.T):
+        for a, z in zip(cuts, cuts[1:]):
             writer.writerow(
-                [
-                    t,
-                    d.origin + t * d.delta_t,
-                    d.origin + (t + 1) * d.delta_t,
-                    int(d.events_in_step[t]),
-                ]
-                + [int(t in start_sets[res.method]) for res in results]
+                [a, z, d.origin + a * d.delta_t, d.origin + z * d.delta_t, counts.get(a, 0)]
+                + [int(a in starts) for starts in start_sets]
             )
 
 
@@ -327,10 +328,6 @@ def cmd_metrics(args: argparse.Namespace) -> Path:
     return out
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
-
-
 def _positive_int(text: str) -> int:
     # a count of at least one
     try:
@@ -342,28 +339,31 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _positive_int_list(text: str) -> list[int]:
-    # a non-empty comma-separated list of counts
-    counts = [_positive_int(x) for x in text.split(",") if x]
-    if not counts:
-        raise argparse.ArgumentTypeError(f"expected integers >= 1, got {text!r}")
-    return counts
+def _positive_float(text: str) -> float:
+    # a finite number > 0 (a step width, a concentration)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _list_of(item):
+    # a non-empty comma-separated list of `item` values
+    def parse(text: str) -> list:
+        values = [item(x) for x in text.split(",") if x]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a non-empty list, got {text!r}")
+        return values
+
+    return parse
 
 
 def _steps(text: str) -> int | str:
     # "auto" or a positive timestep count
     return text if text == "auto" else _positive_int(text)
-
-
-def _width(text: str) -> float:
-    # a finite positive step width
-    try:
-        width = float(text)
-    except ValueError:
-        width = math.nan
-    if not 0 < width < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return width
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin.add_argument("--input", required=True)
     p_bin.add_argument("--output", required=True)
     p_bin.add_argument("--T", type=_steps, default="auto", help='timestep count or "auto" (min(N, 5000))')
-    p_bin.add_argument("--delta-t", type=_width, default=None, help="timestep width (overrides --T)")
+    p_bin.add_argument("--delta-t", type=_positive_float, default=None, help="timestep width (overrides --T)")
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
     p_bin.add_argument("--K", type=_positive_int, default=None, help="cluster count for the baselines")
     p_bin.add_argument("--baselines", action="store_true")
@@ -386,15 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--K", type=_positive_int, required=True)
     p_synth.add_argument("--S", type=_positive_int, default=5)
     p_synth.add_argument("--D", type=_positive_int, default=5)
-    p_synth.add_argument("--gamma", type=float, required=True)
+    p_synth.add_argument("--gamma", type=_positive_float, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run a reconstruction sweep grid")
     p_sweep.add_argument("--output", required=True)
-    p_sweep.add_argument("--N", type=_positive_int_list, default=list(DEFAULT_SWEEP_N))
-    p_sweep.add_argument("--T", type=_positive_int_list, default=list(DEFAULT_SWEEP_T))
-    p_sweep.add_argument("--K", type=_positive_int_list, default=list(DEFAULT_SWEEP_K))
-    p_sweep.add_argument("--gamma", type=_float_list, default=list(DEFAULT_SWEEP_GAMMA))
+    p_sweep.add_argument("--N", type=_list_of(_positive_int), default=list(DEFAULT_SWEEP_N))
+    p_sweep.add_argument("--T", type=_list_of(_positive_int), default=list(DEFAULT_SWEEP_T))
+    p_sweep.add_argument("--K", type=_list_of(_positive_int), default=list(DEFAULT_SWEEP_K))
+    p_sweep.add_argument("--gamma", type=_list_of(_positive_float), default=list(DEFAULT_SWEEP_GAMMA))
     p_sweep.add_argument("--S", type=_positive_int, default=5)
     p_sweep.add_argument("--D", type=_positive_int, default=5)
     p_sweep.add_argument("--reps", type=_positive_int, default=30)

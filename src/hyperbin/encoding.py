@@ -11,6 +11,7 @@ sum of independent cluster costs, which is what the optimizers minimize.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,12 @@ from .events import (
 )
 
 INF = math.inf
+
+# the engine's lgamma table covers widths of up to this many steps, whatever
+# T is, so a grid of at most this many steps (the `--T auto` cap) takes every
+# width from the table: mixing table and math.lgamma values can break a
+# bit-exact tie between the two ends of an eventless gap the other way
+TABLE_STEPS = 5000
 
 
 def decoupled_constant(N: int, T: int) -> float:
@@ -62,8 +69,7 @@ def _snapshot_stage3(snap: HypergraphSnapshot) -> float:
     s_pos = tuple(int(v) for v in snap.source_margin if v > 0)
     d_pos = tuple(int(v) for v in snap.dest_margin if v > 0)
     g_pos = tuple(snap.edges.values())
-    n_pos = tuple(int(v) for v in snap.time_margin if v > 0)
-    return ec_bits(s_pos, d_pos) + ec_bits(g_pos, n_pos)
+    return ec_bits(s_pos, d_pos) + ec_bits(g_pos, snap.step_counts.tolist())
 
 
 def cluster_dl(snap: HypergraphSnapshot, N: int, T: int) -> float:
@@ -130,16 +136,18 @@ class MarginState:
     source and edge counts (count -> number of sources or edges holding it,
     never with a zero key or a zero multiplicity), plus the running aggregate
     sums the effective-columns terms need, updated in O(1) per distinct value
-    added.
+    added. `lo` and `hi` delimit the ranks [lo, hi) of the occupied steps it
+    holds when it is filled through IntervalCostEngine.add_occupied_step.
     """
 
     __slots__ = (
         "m", "s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist",
-        "sum_d2", "lg_s1", "lg_d1", "lg_g1",
+        "sum_d2", "lg_s1", "lg_d1", "lg_g1", "lo", "hi",
     )
 
     def __init__(self):
         self.m = 0
+        self.lo = self.hi = 0
         self.s_cnt: dict[int, int] = {}
         self.d_cnt: dict[int, int] = {}
         self.g_cnt: dict[int, int] = {}
@@ -199,6 +207,9 @@ class MarginState:
         out.s_cnt, out.d_cnt, out.g_cnt = dict(big.s_cnt), dict(big.d_cnt), dict(big.g_cnt)
         out.s_hist, out.g_hist = dict(big.s_hist), dict(big.g_hist)
         out.add_counts(small.s_cnt.items(), small.d_cnt.items(), small.g_cnt.items(), lgt)
+        out.lo, out.hi = big.lo, big.hi
+        if small.m:  # the two rank spans are adjacent
+            out.lo, out.hi = min(a.lo, b.lo), max(a.hi, b.hi)
         return out
 
 
@@ -211,7 +222,9 @@ class IntervalCostEngine:
     come from an incrementally maintained MarginState. The width enters the
     cost only through `width_bits`, so the cost of one range of occupied
     steps at any other width is an O(1) correction, which is what lets the
-    dynamic program evaluate each range once.
+    dynamic program evaluate each range once. Past TABLE_STEPS steps nothing
+    here grows with the step count T: set-up is O(N + P) for P occupied
+    steps.
     """
 
     def __init__(self, d: DiscretizedEvents):
@@ -222,17 +235,16 @@ class IntervalCostEngine:
         self.D = base.D
         self.const = decoupled_constant(self.N, self.T)
 
-        counts = d.events_in_step
-        self.occupied = np.flatnonzero(counts).tolist()
-        self.occ_rank = np.concatenate([[0], np.cumsum(counts > 0)]).tolist()
-        occ_np = counts[counts > 0]
+        self.occupied = d.occupied_steps.tolist()
+        occ_np = d.step_counts
         P = len(occ_np)
 
-        # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments can
-        # reach m + tau <= N + T, count + #nonzero <= 2N, and (for the step
-        # rows) step count + edge alphabet size.
+        # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments
+        # reach a count (<= N) plus the number of sources, destinations or
+        # distinct edges, and m + tau <= N + T; only width_bits' m + tau can
+        # pass the table, and it falls back to math.lgamma there.
         n_edges_max = min(self.S * self.D, self.N)
-        size = self.N + max(self.T, self.S, self.D, self.N, n_edges_max) + 3
+        size = self.N + max(min(self.T, TABLE_STEPS), self.S, self.D, n_edges_max) + 3
         lgt_np = np.concatenate([[0.0, 0.0], np.cumsum(np.log(np.arange(1, size - 1)))])
         self.lgt = lgt_np.tolist()
         self._lgt_np = lgt_np
@@ -249,10 +261,10 @@ class IntervalCostEngine:
 
         # per occupied step: events grouped into (value, count) pairs, so a
         # state update costs O(distinct values), not O(events)
-        steps_arr = d.step_of_event
+        rank = np.searchsorted(d.occupied_steps, d.step_of_event)
         ev_key = base.sources * base.D + base.dests
         grouped = [
-            self._group_by_step(steps_arr, field, P)
+            self._group_by_rank(rank, field, P)
             for field in (base.sources, base.dests, ev_key)
         ]
         self.step_pairs: list[tuple[list, list, list]] = [
@@ -264,13 +276,13 @@ class IntervalCostEngine:
         self.msD = self._ms_table(self.D)
 
     @staticmethod
-    def _group_by_step(steps: np.ndarray, values: np.ndarray, n_occupied: int) -> list[list]:
-        # one (value, count) list per occupied step, in step order
+    def _group_by_rank(rank: np.ndarray, values: np.ndarray, n_occupied: int) -> list[list]:
+        # one (value, count) list per occupied step, in step order; `rank`
+        # holds each event's occupied-step rank
         width = int(values.max()) + 1 if len(values) else 1
-        uniq, cnt = np.unique(steps * width + values, return_counts=True)
+        uniq, cnt = np.unique(rank * width + values, return_counts=True)
         upairs = np.stack([uniq % width, cnt], axis=1).tolist()
-        boundaries = np.searchsorted(uniq // width, np.unique(steps), side="left").tolist()
-        boundaries.append(len(uniq))
+        boundaries = np.searchsorted(uniq // width, np.arange(n_occupied + 1)).tolist()
         return [
             [tuple(pair) for pair in upairs[boundaries[p] : boundaries[p + 1]]]
             for p in range(n_occupied)
@@ -282,14 +294,24 @@ class IntervalCostEngine:
         return ms.tolist()
 
     def add_occupied_step(self, state: MarginState, p: int) -> None:
-        """Add the events of the p-th occupied step (`occupied[p]`)."""
+        """Add the events of the p-th occupied step (`occupied[p]`), which
+        must be next to the ranks the state already holds."""
         sp, dp, gp = self.step_pairs[p]
         state.add_counts(sp, dp, gp, self.lgt)
+        if state.lo == state.hi:
+            state.lo, state.hi = p, p + 1
+        elif p == state.lo - 1:
+            state.lo = p
+        elif p == state.hi:
+            state.hi = p + 1
+        else:
+            raise ValueError(f"occupied step {p} is not next to ranks [{state.lo}, {state.hi})")
 
     def state_for_interval(self, a: int, z: int) -> MarginState:
         """Margin state for the events of steps [a, z)."""
         state = MarginState()
-        for p in range(self.occ_rank[a], self.occ_rank[z]):
+        occ = self.occupied
+        for p in range(bisect_left(occ, a), bisect_left(occ, z)):
             self.add_occupied_step(state, p)
         return state
 
@@ -299,7 +321,10 @@ class IntervalCostEngine:
         log2 of tau (tau + 1) ... (tau + m - 1). Concave in tau, which is
         why an optimal cut sits at one end of its eventless gap."""
         lgt = self.lgt
-        return (lgt[m + tau] - lgt[tau]) / LN2
+        try:
+            return (lgt[m + tau] - lgt[tau]) / LN2
+        except IndexError:  # past the table, which T does not size
+            return (math.lgamma(m + tau) - math.lgamma(tau)) / LN2
 
     def _ec(self, m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
         """Effective-columns bits (combinatorics.ec_bits) of the nr x nc
@@ -326,7 +351,9 @@ class IntervalCostEngine:
     def interval_cost(self, a: int, z: int, state: MarginState) -> float:
         """Decoupled cost of the cluster covering steps [a, z).
 
-        `state` must hold the margins of exactly those steps' events.
+        `state` must hold the margins of exactly those steps' events, filled
+        through add_occupied_step (or state_for_interval, or merged), so
+        that its rank span names the occupied steps in [a, z).
         Returns +inf for eventless intervals (inadmissible clusters). Both
         effective-columns terms go through `_ec`, with the rows given as the
         state's weight histogram; the edge x step term's sum of
@@ -355,7 +382,7 @@ class IntervalCostEngine:
         )
         # edges x occupied steps; the step margins come from the prefix
         # tables, Σ lgamma(step count + nr) from the step row of nr
-        p0, p1 = self.occ_rank[a], self.occ_rank[z]
+        p0, p1 = state.lo, state.hi
         nr = len(state.g_cnt)
         row = self._step_rows.get(nr)
         if row is None:

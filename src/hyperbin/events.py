@@ -157,7 +157,9 @@ class DiscretizedEvents:
 
     Step k covers [origin + k*delta_t, origin + (k+1)*delta_t) with the last
     step closed on the right; its representative time is the step midpoint,
-    so the rounding distortion is at most delta_t / 2.
+    so the rounding distortion is at most delta_t / 2. Only the occupied
+    steps are stored: `occupied_steps` (ascending) and `step_counts` (their
+    event counts), so nothing here grows with T.
     """
 
     base: EventSet
@@ -165,7 +167,8 @@ class DiscretizedEvents:
     delta_t: float
     origin: float
     step_of_event: np.ndarray
-    events_in_step: np.ndarray
+    occupied_steps: np.ndarray
+    step_counts: np.ndarray
 
     def representative(self, step: int) -> float:
         return self.origin + (step + 0.5) * self.delta_t
@@ -174,17 +177,24 @@ class DiscretizedEvents:
     def N(self) -> int:
         return self.base.N
 
+    @property
+    def events_in_step(self) -> np.ndarray:
+        """Dense per-step event counts, a length-T array built on demand."""
+        return np.bincount(self.step_of_event, minlength=self.T)
+
 
 def _finish_discretization(ev: EventSet, T: int, origin: float, delta_t: float) -> DiscretizedEvents:
     steps = np.floor((ev.times - origin) / delta_t).astype(np.int64)
     np.clip(steps, 0, T - 1, out=steps)
+    occupied, counts = np.unique(steps, return_counts=True)
     return DiscretizedEvents(
         base=ev,
         T=T,
         delta_t=delta_t,
         origin=origin,
         step_of_event=steps,
-        events_in_step=np.bincount(steps, minlength=T),
+        occupied_steps=occupied,
+        step_counts=counts,
     )
 
 
@@ -326,11 +336,13 @@ def build_snapshot(d: DiscretizedEvents, b: Binning, k: int) -> "HypergraphSnaps
     edges = {
         (int(k) // D, int(k) % D): int(c) for k, c in zip(uniq.tolist(), cnt.tolist())
     }
+    occupied, counts = np.unique(steps[lo:hi] - a, return_counts=True)
     return HypergraphSnapshot(
         edges=edges,
         source_margin=np.bincount(src, minlength=d.base.S),
         dest_margin=np.bincount(dst, minlength=d.base.D),
-        time_margin=np.bincount(steps[lo:hi] - a, minlength=b.widths[k]),
+        occupied_steps=occupied,
+        step_counts=counts,
         m_k=hi - lo,
         tau_k=b.widths[k],
     )
@@ -341,14 +353,17 @@ class HypergraphSnapshot:
     """Weighted bipartite incidence of one temporal bin.
 
     `edges[(s, d)]` counts events pairing source s with destination d inside
-    the bin; the margins are the per-source, per-destination and per-step
-    event counts, all summing to m_k.
+    the bin; the margins are the per-source and per-destination event
+    counts. The time margin is kept sparse: `occupied_steps` are the bin's
+    event-bearing steps as offsets from its first step (ascending, below
+    tau_k) and `step_counts` their event counts. Every margin sums to m_k.
     """
 
     edges: dict[tuple[int, int], int]
     source_margin: np.ndarray
     dest_margin: np.ndarray
-    time_margin: np.ndarray
+    occupied_steps: np.ndarray
+    step_counts: np.ndarray
     m_k: int
     tau_k: int
 

@@ -10,6 +10,7 @@ the sorted step multiset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class SynthParams:
             raise ValueError("N, T, K, S, D must all be >= 1")
         if self.K > min(self.N, self.T):
             raise ValueError(f"need K <= min(N, T), got K={self.K}")
-        if not self.gamma > 0:
-            raise ValueError(f"need gamma > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"need a finite gamma > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def sample_weak_composition(total: int, parts: int, rng) -> np.ndarray:
 def sample_dirichlet_multinomial(m: int, dim: int, gamma: float, rng) -> np.ndarray:
     """Counts from a symmetric Dirichlet-Multinomial: a probability vector
     from Dirichlet(gamma * 1) followed by m multinomial trials."""
-    if m < 0 or dim < 1 or not gamma > 0:
+    if m < 0 or dim < 1 or not 0 < gamma < math.inf:
         raise ValueError(f"bad Dirichlet-Multinomial parameters m={m}, dim={dim}, gamma={gamma}")
     rng = as_generator(rng)
     p = rng.dirichlet(np.full(dim, float(gamma)))

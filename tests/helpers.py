@@ -1,8 +1,9 @@
 """Shared fixtures-in-code for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from hyperbin import EventSet, IntervalCostEngine, parse_events
+from hyperbin import Binning, EventSet, IntervalCostEngine, discretize_on_grid, parse_events
 
 # 10 events over 4 sources and 3 destinations, placed on a 12-step grid so
 # that the first 6 events land in steps 0-5 and the last 4 in steps 7-11.
@@ -65,3 +66,36 @@ def reference_greedy(d) -> tuple[tuple[int, ...], float]:
             best = (total, list(bounds))
     total, bounds = best
     return tuple(z - a for a, z in zip(bounds, bounds[1:])), total
+
+
+@st.composite
+def small_grids(draw):
+    """Random events on a unit grid of at most 10 steps; sometimes all on at
+    most 3 distinct steps, which leaves wide eventless gaps between them."""
+    T = draw(st.integers(1, 10))
+    S, D, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    ints = lambda hi: st.lists(st.integers(0, hi), min_size=m, max_size=m)
+    pool = draw(st.none() | st.lists(st.integers(0, T - 1), min_size=1, max_size=3, unique=True))
+    step = st.integers(0, T - 1) if pool is None else st.sampled_from(pool)
+    ev = EventSet(
+        sources=draw(ints(S - 1)),
+        dests=draw(ints(D - 1)),
+        times=[t + 0.5 for t in sorted(draw(st.lists(step, min_size=m, max_size=m)))],
+        source_labels=tuple(f"s{i}" for i in range(S)),
+        dest_labels=tuple(f"d{i}" for i in range(D)),
+    )
+    return discretize_on_grid(ev, T, 0.0, 1.0)
+
+
+@st.composite
+def valid_binnings(draw, d) -> Binning:
+    """A binning of d's grid in which every cluster holds an event: a cut
+    anywhere in (a, b] for some of the pairs of adjacent occupied steps a < b."""
+    occ = d.occupied_steps.tolist()
+    cuts = [
+        draw(st.integers(a + 1, b))
+        for a, b in zip(occ, occ[1:])
+        if draw(st.booleans())
+    ]
+    bounds = [0] + cuts + [d.T]
+    return Binning(tuple(z - a for a, z in zip(bounds, bounds[1:])))

@@ -377,7 +377,7 @@ def test_criterion_8_generator_distribution_suite():
         for k in range(res.binning.K):
             snap = build_snapshot(d, res.binning, k)
             round_trip_ok &= int(snap.m_k) == int(res.partition.sizes[k])
-            round_trip_ok &= int(snap.time_margin.sum()) == int(snap.m_k)
+            round_trip_ok &= int(snap.step_counts.sum()) == int(snap.m_k)
     ok = comp_ok and weak_ok and table_ok and round_trip_ok
     report(
         "criterion 8 (generator distributions)",

@@ -1,12 +1,25 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperbin
 import hyperbin.events
-from helpers import SAMPLE_ROWS
-from hyperbin.cli import main
+from helpers import SAMPLE_ROWS, small_grids, valid_binnings
+from hyperbin.cli import _write_series_csv, main
+from hyperbin.optimize import solve_dp
+
+SRC = Path(hyperbin.__file__).resolve().parents[1]
 
 
 def write_sample_csv(path):
@@ -18,6 +31,18 @@ def write_sample_csv(path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_sparse_days_csv(path, seed=0):
+    """500 events on 12 distinct days, 5 days apart, over 20 x 20 labels."""
+    rng = np.random.default_rng(seed)
+    days = 5 * np.arange(12) + rng.integers(3, size=12)
+    stamps = 1_577_836_800 + 86_400 * np.sort(rng.choice(days, 500))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["source", "destination", "timestamp"])
+        for s, t, tm in zip(rng.integers(20, size=500), rng.integers(20, size=500), stamps):
+            writer.writerow([f"s{s}", f"d{t}", int(tm)])
 
 
 class TestSynthCommand:
@@ -84,10 +109,68 @@ class TestBinCommand:
         out = tmp_path / "result.json"
         run("bin", "--input", events, "--output", out, "--T", 12, "--method", "exact")
         rows = list(csv.reader(open(tmp_path / "result.series.csv")))
-        assert rows[0] == ["step", "t_min", "t_max", "events", "exact_dp_boundary"]
-        assert len(rows) == 13
-        assert sum(int(r[3]) for r in rows[1:]) == 10
-        assert rows[1][4] == "1"  # a cluster always starts at step 0
+        assert rows[0] == ["step_start", "step_end", "t_min", "t_max", "events",
+                           "exact_dp_boundary"]
+        # steps 0-5 and 7-11 hold events, step 6 is an eventless run
+        spans = [(int(r[0]), int(r[1])) for r in rows[1:]]
+        assert spans == [(t, t + 1) for t in range(12)]
+        assert rows[7][4] == "0"
+        assert sum(int(r[4]) for r in rows[1:]) == 10
+        assert rows[1][5] == "1"  # a cluster always starts at step 0
+
+    def test_series_csv_has_one_row_per_eventless_run(self, tmp_path):
+        events = tmp_path / "events.csv"
+        write_sample_csv(events)
+        out = tmp_path / "result.json"
+        run("bin", "--input", events, "--output", out, "--T", 1100, "--method", "exact")
+        rows = list(csv.reader(open(tmp_path / "result.series.csv")))[1:]
+        starts = [int(r[0]) for r in rows]
+        assert starts[0] == 0 and int(rows[-1][1]) == 1100
+        assert [int(r[1]) for r in rows[:-1]] == starts[1:]
+        assert sum(int(r[4]) for r in rows) == 10
+        # 10 occupied steps (the last clipped into step 1099), 9 runs between
+        assert len(rows) == 19
+        assert all(int(r[1]) - int(r[0]) == 1 for r in rows if r[4] != "0")
+
+    def test_series_csv_splits_a_run_at_a_start_inside_it(self, tmp_path):
+        d = hyperbin.discretize(hyperbin.parse_events(SAMPLE_ROWS), 1100)  # steps 0, 100, ...
+        inside = SimpleNamespace(method="inside", binning_canonical=hyperbin.Binning((150, 950)))
+        _write_series_csv(tmp_path / "s.csv", d, [inside])
+        # step_start, step_end, events, inside_boundary
+        rows = [r[:2] + r[4:] for r in csv.reader(open(tmp_path / "s.csv", newline=""))]
+        assert rows[1:6] == [["0", "1", "1", "1"], ["1", "100", "0", "0"],
+                             ["100", "101", "1", "0"], ["101", "150", "0", "0"],
+                             ["150", "200", "0", "1"]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_series_rows_expand_to_the_steps(self, data):
+        # the DP's result, plus stand-ins with any binnings, not only
+        # canonical ones: a start inside an eventless run must split the run
+        # and carry the flag
+        d = data.draw(small_grids())
+        binnings = data.draw(st.lists(valid_binnings(d), max_size=3))
+        results = [solve_dp(d)] + [
+            SimpleNamespace(method=f"m{i}", binning_canonical=b) for i, b in enumerate(binnings)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            _write_series_csv(path, d, results)
+            rows = list(csv.reader(open(path, newline="")))
+        assert rows[0] == ["step_start", "step_end", "t_min", "t_max", "events"] + [
+            f"{res.method}_boundary" for res in results
+        ]
+        events, flags = [], []
+        for r in rows[1:]:
+            a, z = int(r[0]), int(r[1])
+            assert a == len(events) and z > a
+            assert (float(r[2]), float(r[3])) == (d.origin + a * d.delta_t, d.origin + z * d.delta_t)
+            assert int(r[4]) == 0 or z == a + 1  # only eventless rows span several steps
+            events += [int(r[4])] + [0] * (z - a - 1)
+            flags += [[int(x) for x in r[5:]]] + [[0] * len(results)] * (z - a - 1)
+        assert events == d.events_in_step.tolist()
+        starts = [res.binning_canonical.starts() for res in results]
+        assert flags == [[int(t in s) for s in starts] for t in range(d.T)]
 
     def test_auto_t(self, tmp_path):
         events = tmp_path / "events.csv"
@@ -118,6 +201,48 @@ class TestBinCommand:
                 r.pop("runtime_seconds")
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+class TestFineGrids:
+    """`bin` costs O(N + P) after parsing, for P occupied steps: no array,
+    list or loop is sized by the step count T."""
+
+    def test_ten_million_steps_stay_small(self, tmp_path):
+        events, out = tmp_path / "events.csv", tmp_path / "result.json"
+        write_sparse_days_csv(events)
+        tracemalloc.start()
+        try:
+            assert run("bin", "--input", events, "--output", out, "--T", 10**7,
+                       "--method", "both", "--baselines") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.read_text())["T"] == 10**7
+        # one T-length int64 array alone would be 80 MB
+        assert peak < 20 * 2**20
+
+    def test_a_billion_steps_run_in_a_capped_address_space(self, tmp_path):
+        events, out = tmp_path / "events.csv", tmp_path / "result.json"
+        write_sparse_days_csv(events)
+        cap = 512 * 2**20  # a T-length array would need gigabytes and fail
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from hyperbin.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "bin", "--input", str(events), "--output", str(out),
+             "--T", str(10**9), "--method", "both"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["T"] == 10**9
+        assert [r["method"] for r in doc["results"]] == ["exact_dp", "greedy"]
+        series = list(csv.reader(open(tmp_path / "result.series.csv", newline="")))
+        assert len(series) < 100 and int(series[-1][1]) == 10**9
 
 
 class TestMetricsCommand:
@@ -333,4 +458,23 @@ class TestExitCodes:
             run("sweep", "--output", out, "--N", "100", "--T", "25", "--K", "2",
                 "--gamma", "0.01", "--reps", 1, "--jobs", 1, option, value)
         assert exc.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc"])
+    def test_bad_synth_gamma_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "events.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--output", out, "--N", 50, "--T", 20, "--K", 2, "--gamma", value)
+        assert exc.value.code == 1
+        assert "--gamma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc", "0.1,inf", ",", ""])
+    def test_bad_sweep_gamma_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--output", out, "--N", "100", "--T", "25", "--K", "2",
+                "--reps", 1, "--jobs", 1, "--gamma", value)
+        assert exc.value.code == 1
+        assert "--gamma" in capsys.readouterr().err
         assert not out.exists()

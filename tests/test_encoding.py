@@ -233,6 +233,33 @@ class TestIntervalCostEngine:
             total_dl_exact(d, Binning((12,))).decoupled_total, abs=1e-9
         )
 
+    def test_lgamma_table_does_not_grow_with_T(self):
+        from hyperbin.encoding import TABLE_STEPS
+
+        ev = sample_events()
+        sizes = [len(IntervalCostEngine(discretize(ev, T)).lgt) for T in (12, TABLE_STEPS, 10**9)]
+        assert sizes[0] < sizes[1] == sizes[2] < 2 * TABLE_STEPS
+        huge = IntervalCostEngine(discretize(ev, 10**9))
+        # width_bits falls back to math.lgamma past the table
+        for m, tau in ((10, 20), (10, len(huge.lgt) - 10), (6, 10**9 - 7)):
+            want = (math.lgamma(m + tau) - math.lgamma(tau)) / math.log(2)
+            assert huge.width_bits(m, tau) == pytest.approx(want, rel=1e-12)
+        # and the costs still match the public path at that T
+        d = discretize(ev, 10**9)
+        assert huge.interval_cost(0, d.T, huge.state_for_interval(0, d.T)) == pytest.approx(
+            total_dl_exact(d, Binning((d.T,))).decoupled_total, abs=1e-6
+        )
+
+    def test_state_records_its_occupied_rank_span(self):
+        eng = IntervalCostEngine(discretize(sample_events(), 12))  # step 6 is empty
+        state = eng.state_for_interval(3, 9)  # steps 3, 4, 5, 7, 8
+        assert (state.lo, state.hi) == (3, 8)
+        eng.add_occupied_step(state, 2)
+        eng.add_occupied_step(state, 8)
+        assert (state.lo, state.hi) == (2, 9)
+        with pytest.raises(ValueError):
+            eng.add_occupied_step(state, 0)
+
 
 @st.composite
 def unit_grid_events(draw):
@@ -293,6 +320,7 @@ class TestEngineProperties:
         assert (got.m, got.sum_d2) == (want.m, want.sum_d2)
         assert (got.s_cnt, got.d_cnt, got.g_cnt) == (want.s_cnt, want.d_cnt, want.g_cnt)
         assert (got.s_hist, got.g_hist) == (want.s_hist, want.g_hist)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
         for name in ("lg_s1", "lg_d1", "lg_g1"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9, name
         # add_counts (left, right, want) and merged (got) keep the histograms

@@ -7,7 +7,7 @@ import hyperbin.events
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_ROWS, sample_events, random_event_set
+from helpers import SAMPLE_ROWS, random_event_set, sample_events, small_grids, valid_binnings
 from hyperbin import (
     Binning,
     EmptyClusterError,
@@ -115,6 +115,15 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(sample_events(), 0)
 
+    def test_keeps_only_the_occupied_steps(self):
+        rng = np.random.default_rng(4)
+        d = discretize(random_event_set(rng, 60, 3, 3, span=100.0), 300)
+        dense = d.events_in_step  # built on demand, length T
+        assert len(dense) == 300
+        assert d.occupied_steps.tolist() == np.flatnonzero(dense).tolist()
+        assert d.step_counts.tolist() == dense[dense > 0].tolist()
+        assert d.step_counts.max() > 1 and d.step_counts.sum() == 60
+
     def test_by_width(self):
         ev = parse_events([("a", "x", 0.0), ("b", "y", 9.5)])
         d = discretize_by_width(ev, 1.0)
@@ -202,7 +211,7 @@ class TestBuildSnapshot:
         assert snap.m_k == 1
         assert list(snap.edges.values()) == [1]
         assert snap.source_margin.sum() == 1 and snap.dest_margin.sum() == 1
-        assert snap.time_margin.sum() == 1
+        assert (snap.occupied_steps.tolist(), snap.step_counts.tolist()) == ([0], [1])
 
     def test_conservation(self):
         rng = np.random.default_rng(5)
@@ -211,13 +220,16 @@ class TestBuildSnapshot:
         b = Binning((10, 10, 10))
         part = induce_partition(d, b)
         total = 0
-        for k in range(3):
+        for k, a in enumerate(b.starts()):
             snap = build_snapshot(d, b, k)
+            dense = d.events_in_step[a : a + b.widths[k]]  # the dense time margin
             assert sum(snap.edges.values()) == snap.m_k
             assert snap.source_margin.sum() == snap.m_k
             assert snap.dest_margin.sum() == snap.m_k
-            assert snap.time_margin.sum() == snap.m_k
-            assert len(snap.time_margin) == snap.tau_k
+            assert snap.occupied_steps.tolist() == np.flatnonzero(dense).tolist()
+            assert snap.step_counts.tolist() == dense[dense > 0].tolist()
+            assert snap.step_counts.sum() == snap.m_k
+            assert 0 <= snap.occupied_steps[0] and snap.occupied_steps[-1] < snap.tau_k
             total += snap.m_k
         assert total == 200
 
@@ -243,6 +255,19 @@ class TestCanonicalBinning:
             induce_partition(d, b).cluster_of_event.tolist()
             == induce_partition(d, canon).cluster_of_event.tolist()
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_idempotent_and_partition_preserving(self, data):
+        d = data.draw(small_grids())
+        b = data.draw(valid_binnings(d))
+        canon = canonical_binning(d, b)
+        assert canonical_binning(d, canon) == canon
+        part = induce_partition(d, canon)
+        assert part.cluster_of_event.tolist() == induce_partition(d, b).cluster_of_event.tolist()
+        # cluster 0 is pinned to step 0; every later one opens at its first event
+        firsts = np.concatenate([[0], np.cumsum(part.sizes)[:-1]])
+        assert canon.starts() == (0,) + tuple(d.step_of_event[firsts[1:]].tolist())
 
 
 class TestCsvReader:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sample_events, random_event_set, reference_greedy
+from helpers import random_event_set, reference_greedy, sample_events, small_grids
 from hyperbin import (
     Binning,
     EmptyClusterError,
@@ -188,25 +188,6 @@ class TestSolveDp:
             best, _ = _dp_table(IntervalCostEngine(d))
             positions.append(set(best) - {T})
         assert positions[0] == positions[1]
-
-
-@st.composite
-def small_grids(draw):
-    """Random events on a unit grid of at most 10 steps; sometimes all on at
-    most 3 distinct steps, which leaves wide eventless gaps between them."""
-    T = draw(st.integers(1, 10))
-    S, D, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
-    ints = lambda hi: st.lists(st.integers(0, hi), min_size=m, max_size=m)
-    pool = draw(st.none() | st.lists(st.integers(0, T - 1), min_size=1, max_size=3, unique=True))
-    step = st.integers(0, T - 1) if pool is None else st.sampled_from(pool)
-    ev = EventSet(
-        sources=draw(ints(S - 1)),
-        dests=draw(ints(D - 1)),
-        times=[t + 0.5 for t in sorted(draw(st.lists(step, min_size=m, max_size=m)))],
-        source_labels=tuple(f"s{i}" for i in range(S)),
-        dest_labels=tuple(f"d{i}" for i in range(D)),
-    )
-    return discretize_on_grid(ev, T, 0.0, 1.0)
 
 
 class TestDpProperties:

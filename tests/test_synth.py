@@ -96,6 +96,11 @@ class TestDirichletMultinomial:
         with pytest.raises(ValueError):
             sample_dirichlet_multinomial(5, 3, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sample_dirichlet_multinomial(5, 3, gamma, np.random.default_rng(0))
+
 
 class TestContingencyTable:
     def test_single_column_forced(self):
@@ -183,7 +188,8 @@ class TestGenerateSynthetic:
                 snap = build_snapshot(d, res.binning, k)
                 assert snap.source_margin.tolist() == s_k.tolist()
                 assert snap.dest_margin.tolist() == d_k.tolist()
-                assert snap.time_margin.tolist() == n_k.tolist()
+                assert snap.occupied_steps.tolist() == np.flatnonzero(n_k).tolist()
+                assert snap.step_counts.tolist() == n_k[n_k > 0].tolist()
                 got = np.zeros((p.S, p.D), dtype=int)
                 for (s, t), w in snap.edges.items():
                     got[s, t] = w
@@ -202,3 +208,8 @@ class TestGenerateSynthetic:
             SynthParams(N=5, T=3, K=4, S=2, D=2, gamma=1.0, seed=0)
         with pytest.raises(ValueError):
             SynthParams(N=5, T=5, K=2, S=2, D=2, gamma=0.0, seed=0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_gamma_that_is_not_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            SynthParams(N=5, T=5, K=2, S=2, D=2, gamma=gamma, seed=0)
