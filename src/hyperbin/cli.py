@@ -252,9 +252,31 @@ def _load_result_file(path: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise EventDataError(f"{path}: not a valid result file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise EventDataError(f"{path}: not a result document (expected a JSON object)")
     if doc.get("format_version") != FORMAT_VERSION:
         raise EventDataError(f"{path}: unsupported format_version")
+    missing = _first_missing_key(doc)
+    if missing is not None:
+        raise EventDataError(f"{path}: not a result document: missing key {missing!r}")
     return doc
+
+
+def _first_missing_key(doc: dict) -> str | None:
+    """The first key cmd_metrics reads that `doc` lacks (or holds as the
+    wrong kind of container), as a path such as results[0].dl.decoupled."""
+    for key in ("N", "S", "D", "T", "delta_t", "origin", "results"):
+        if key not in doc:
+            return key
+    if not isinstance(doc["results"], list):
+        return "results"
+    for i, res in enumerate(doc["results"]):
+        for key in ("method", "K", "tau", "eta", "dl"):
+            if not isinstance(res, dict) or key not in res:
+                return f"results[{i}].{key}"
+        if not isinstance(res["dl"], dict) or "decoupled" not in res["dl"]:
+            return f"results[{i}].dl.decoupled"
+    return None
 
 
 def cmd_metrics(args: argparse.Namespace) -> Path:

@@ -281,11 +281,11 @@ class IntervalCostEngine:
         # holds each event's occupied-step rank
         width = int(values.max()) + 1 if len(values) else 1
         uniq, cnt = np.unique(rank * width + values, return_counts=True)
-        upairs = np.stack([uniq % width, cnt], axis=1).tolist()
+        vals, cnts = (uniq % width).tolist(), cnt.tolist()
         boundaries = np.searchsorted(uniq // width, np.arange(n_occupied + 1)).tolist()
         return [
-            [tuple(pair) for pair in upairs[boundaries[p] : boundaries[p + 1]]]
-            for p in range(n_occupied)
+            list(zip(vals[b0:b1], cnts[b0:b1]))
+            for b0, b1 in zip(boundaries, boundaries[1:])
         ]
 
     def _ms_table(self, y: int) -> list[float]:

@@ -76,9 +76,13 @@ def _parse_timestamp(value, row: int) -> float:
         stamp = float(value)
     else:
         text = str(value).strip()
-        try:
-            stamp = float(text)
-        except ValueError:
+        stamp = None
+        if ":" not in text:  # float() accepts no ':', so such text is ISO-8601 or bad
+            try:
+                stamp = float(text)
+            except ValueError:
+                pass
+        if stamp is None:
             try:
                 dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
             except ValueError:

@@ -169,7 +169,8 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     change is an increase; the minimum over all recorded states wins.
     Pair changes live in a flat array scanned for its first minimum, so
     equal changes merge the leftmost pair; after a merge only the two pair
-    changes touching the new cluster are recomputed. Each merge logs the
+    changes touching the new cluster are recomputed, and their merged states
+    are kept in case the next merge picks one of them. Each merge logs the
     start it removes, and the best configuration is rebuilt once at the end.
     """
     t0 = time.perf_counter()
@@ -189,25 +190,28 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
         state = MarginState.merged(states[k], states[k + 1], eng.lgt)
         return state, eng.interval_cost(starts[k], z, state)
 
-    def delta(k: int) -> float:
-        return merge(k)[1] - costs[k] - costs[k + 1]
-
-    deltas = np.array([delta(k) for k in range(len(starts) - 1)], dtype=float)
+    deltas = np.array(
+        [merge(k)[1] - costs[k] - costs[k + 1] for k in range(len(starts) - 1)], dtype=float
+    )
+    # the merged states of the (at most two) pairs rescored since the last
+    # merge; their clusters are unchanged, so a reused cost is bit-identical
+    rescored: dict[int, tuple[MarginState, float]] = {}
     total = best_total = sum(costs)
     merge_log: list[int] = []  # the start each merge removed, in order
     n_best = 0
     while len(starts) > 1:
         k = int(np.argmin(deltas))  # first minimum: the leftmost pair
-        state, cost = merge(k)
+        state, cost = rescored[k] if k in rescored else merge(k)
+        rescored.clear()
         total += cost - costs[k] - costs[k + 1]
         states[k], costs[k] = state, cost
         del states[k + 1], costs[k + 1]
         merge_log.append(starts.pop(k + 1))
         deltas = np.delete(deltas, k)
-        if k > 0:
-            deltas[k - 1] = delta(k - 1)
-        if k < len(starts) - 1:
-            deltas[k] = delta(k)
+        for j in (k - 1, k):
+            if 0 <= j < len(starts) - 1:
+                rescored[j] = merge(j)
+                deltas[j] = rescored[j][1] - costs[j] - costs[j + 1]
         if total < best_total:
             best_total, n_best = total, len(merge_log)
 

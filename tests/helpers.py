@@ -1,9 +1,19 @@
 """Shared fixtures-in-code for the test suite."""
 
+import math
+from datetime import datetime, timezone
+
 import numpy as np
 from hypothesis import strategies as st
 
-from hyperbin import Binning, EventSet, IntervalCostEngine, discretize_on_grid, parse_events
+from hyperbin import (
+    Binning,
+    EventDataError,
+    EventSet,
+    IntervalCostEngine,
+    discretize_on_grid,
+    parse_events,
+)
 
 # 10 events over 4 sources and 3 destinations, placed on a 12-step grid so
 # that the first 6 events land in steps 0-5 and the last 4 in steps 7-11.
@@ -37,9 +47,34 @@ def random_event_set(rng, n, s, d, span=100.0) -> EventSet:
     )
 
 
+def reference_parse_timestamp(value: str, row: int) -> float:
+    """Reading of a text timestamp as float() first, ISO-8601 second (a
+    trailing Z and naive stamps read as UTC), with the parser's messages."""
+    text = value.strip()
+    try:
+        stamp = float(text)
+    except ValueError:
+        try:
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise EventDataError(f"row {row}: cannot parse timestamp {value!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        stamp = dt.timestamp()
+    if not math.isfinite(stamp):
+        raise EventDataError(f"row {row}: timestamp {value!r} is not finite")
+    return stamp
+
+
 def reference_greedy(d) -> tuple[tuple[int, ...], float]:
     """Naive agglomerative greedy: the widths and the search-time cost of the
-    best configuration seen.
+    best configuration seen (see reference_greedy_run)."""
+    return reference_greedy_run(d)[:2]
+
+
+def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
+    """Naive agglomerative greedy: the widths and the search-time cost of the
+    best configuration seen, and the index of the pair each round merged.
 
     Starts from one cluster per event-bearing step (eventless steps attached
     to the step on their right, trailing ones to the last cluster). Each round
@@ -54,18 +89,20 @@ def reference_greedy(d) -> tuple[tuple[int, ...], float]:
 
     total = sum(cost(a, z) for a, z in zip(bounds, bounds[1:]))
     best = (total, list(bounds))
+    merges = []
     while len(bounds) > 2:
         deltas = [
             cost(a, z) - cost(a, b) - cost(b, z)
             for a, b, z in zip(bounds, bounds[1:], bounds[2:])
         ]
         k = deltas.index(min(deltas))
+        merges.append(k)
         total += deltas[k]
         del bounds[k + 1]
         if total < best[0]:
             best = (total, list(bounds))
     total, bounds = best
-    return tuple(z - a for a, z in zip(bounds, bounds[1:])), total
+    return tuple(z - a for a, z in zip(bounds, bounds[1:])), total, merges
 
 
 @st.composite

@@ -20,6 +20,7 @@ from hyperbin.cli import _write_series_csv, main
 from hyperbin.optimize import solve_dp
 
 SRC = Path(hyperbin.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_cli"
 
 
 def write_sample_csv(path):
@@ -310,6 +311,33 @@ class TestMetricsCommand:
         assert run("metrics", result, "--input", events, "--output", out) == 0
         (entry,) = json.loads(out.read_text())["results"]
         assert entry["eta_recomputed"] == entry["eta"] == 1.0
+
+    @staticmethod
+    def metrics_of(tmp_path, capsys, doc):
+        # exit code and stderr of `metrics` on a result file holding doc
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        code = run("metrics", result, "--input", GOLDEN / "events.csv", "--output", out)
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_json_list_is_not_a_result_document(self, tmp_path, capsys):
+        code, err = self.metrics_of(tmp_path, capsys, [])
+        assert code == 2
+        assert "result.json: not a result document (expected a JSON object)" in err
+
+    def test_result_document_without_its_fields_is_rejected(self, tmp_path, capsys):
+        code, err = self.metrics_of(tmp_path, capsys, {"format_version": 1})
+        assert code == 2
+        assert "result.json: not a result document: missing key 'N'" in err
+
+    def test_result_without_a_dl_is_rejected(self, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "result.json").read_text(encoding="utf-8"))
+        del doc["results"][1]["dl"]
+        code, err = self.metrics_of(tmp_path, capsys, doc)
+        assert code == 2
+        assert "result.json: not a result document: missing key 'results[1].dl'" in err
 
     def test_mismatched_dataset_rejected(self, workspace, tmp_path):
         events, result = workspace

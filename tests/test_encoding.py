@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import sample_events, random_event_set
@@ -293,7 +293,33 @@ def unit_grid_events(draw):
     return discretize_on_grid(ev, T, 0.0, 1.0)
 
 
+@st.composite
+def ranked_values(draw):
+    """Per-event occupied-step ranks and values, the values below 1, 2, 6,
+    256, 257, 301 or 70,001 (a bound of 1 is a one-value alphabet)."""
+    n_occupied, n = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    top = draw(st.sampled_from([0, 1, 5, 255, 256, 300, 70_000]))
+    rank = draw(st.lists(st.integers(0, n_occupied - 1), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    return rank, values, n_occupied
+
+
 class TestEngineProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ranked_values())
+    @example(case=([0, 2, 2, 1, 0], [0] * 5, 3))  # a one-value alphabet
+    def test_group_by_rank_equals_a_per_step_counter(self, case):
+        rank, values, n_occupied = case
+        got = IntervalCostEngine._group_by_rank(
+            np.array(rank, dtype=np.int64), np.array(values, dtype=np.int64), n_occupied
+        )
+        want = [
+            sorted(Counter(v for r, v in zip(rank, values) if r == p).items())
+            for p in range(n_occupied)
+        ]
+        assert got == want
+        assert all(type(x) is int for pairs in got for pair in pairs for x in pair)
+
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events())
     def test_interval_cost_matches_ec_bits_reference(self, d):

@@ -1,13 +1,21 @@
 import math
+from datetime import timezone
 
 import numpy as np
 import pytest
 
 import hyperbin.events
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_ROWS, random_event_set, sample_events, small_grids, valid_binnings
+from helpers import (
+    SAMPLE_ROWS,
+    random_event_set,
+    reference_parse_timestamp,
+    sample_events,
+    small_grids,
+    valid_binnings,
+)
 from hyperbin import (
     Binning,
     EmptyClusterError,
@@ -75,6 +83,48 @@ class TestParseEvents:
         ev = parse_events([("b", "y", 2.0), ("a", "x", 1.0)])
         assert ev.source_labels == ("b", "a")
         assert ev.dest_labels == ("y", "x")
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text, 7)
+    except EventDataError as exc:
+        return "error", str(exc)
+
+
+class TestTimestampDispatch:
+    """Text holding a ':' skips float() and goes straight to ISO-8601; every
+    stamp still reads as it does with float() tried first."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        text=st.text(alphabet="0123456789-:.+eETZ _", max_size=32)
+        | st.datetimes(timezones=st.none() | st.just(timezone.utc)).map(
+            lambda t: t.isoformat().replace("+00:00", "Z")
+        )
+    )
+    @example("20200101")
+    @example("2020-01-01")
+    @example("2020-01-01T00:00:00Z")
+    @example(" 12 ")
+    @example("1_000")
+    @example("12:30")
+    @example("nan")
+    def test_matches_float_first_reading(self, text):
+        got = _outcome(hyperbin.events._parse_timestamp, text)
+        assert got == _outcome(reference_parse_timestamp, text)
+
+    @pytest.mark.parametrize(
+        "text, stamp",
+        [
+            ("20200101", 20200101.0),  # float() takes it, so it is a number
+            ("1_000", 1000.0),
+            ("2020-01-01", 1_577_836_800.0),  # naive stamps read as UTC
+            ("2020-01-01T00:00:00Z", 1_577_836_800.0),
+        ],
+    )
+    def test_documented_readings(self, text, stamp):
+        assert hyperbin.events._parse_timestamp(text, 1) == stamp
 
 
 class TestDiscretize:

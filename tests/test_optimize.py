@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_event_set, reference_greedy, sample_events, small_grids
+from helpers import (
+    random_event_set,
+    reference_greedy,
+    reference_greedy_run,
+    sample_events,
+    small_grids,
+)
 from hyperbin import (
     Binning,
     EmptyClusterError,
@@ -18,6 +24,7 @@ from hyperbin import (
     solve_dp,
     solve_greedy,
 )
+from hyperbin.encoding import MarginState
 
 
 def burst_pair_events(n_per_burst=100, t_hi=100.0):
@@ -260,6 +267,37 @@ class TestSolveGreedy:
     def test_equals_reference_greedy(self, d):
         widths, dl = reference_greedy(d)
         res = solve_greedy(d)
+        assert res.binning.widths == widths
+        assert abs(res.dl.decoupled_total - dl) <= 1e-9
+
+    def test_merges_a_pair_it_just_rescored_without_rebuilding_it(self, monkeypatch):
+        # every initial pair is scored once and every pair next to a merge
+        # is rescored; a merge builds a new state only when its pair was not
+        # among those rescored right before it
+        rng = np.random.default_rng(113)
+        d = discretize(random_event_set(rng, 300, 6, 5), 60)
+        widths, dl, merges = reference_greedy_run(d)
+        n = len(merges) + 1  # initial clusters
+        expected, reused, rescored = n - 1, 0, set()
+        for i, k in enumerate(merges):
+            if k in rescored:
+                reused += 1
+            else:
+                expected += 1
+            rescored = {j for j in (k - 1, k) if 0 <= j < n - i - 2}
+            expected += len(rescored)
+        assert reused > 0
+
+        calls = []
+        merged = MarginState.merged
+
+        def counting(a, b, lgt):
+            calls.append(None)
+            return merged(a, b, lgt)
+
+        monkeypatch.setattr(MarginState, "merged", staticmethod(counting))
+        res = solve_greedy(d)
+        assert len(calls) == expected
         assert res.binning.widths == widths
         assert abs(res.dl.decoupled_total - dl) <= 1e-9
 
