@@ -11,7 +11,6 @@ from .combinatorics import (
 from .encoding import (
     DLBreakdown,
     IntervalCostEngine,
-    cluster_dl,
     decoupled_constant,
     naive_dl,
     stage1_dl,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import total_dl_exact
+from .encoding import TABLE_STEPS, total_dl_exact
 from .events import (
     Binning,
     CSV_HEADER,
@@ -43,7 +43,6 @@ from .optimize import (
 from .synth import SynthParams, generate_synthetic
 
 FORMAT_VERSION = 1
-AUTO_T_CAP = 5000
 
 DEFAULT_SWEEP_N = (200, 500, 1000)
 DEFAULT_SWEEP_T = (50, 500)
@@ -119,6 +118,12 @@ def _write_series_csv(path: Path, d: DiscretizedEvents, results: list[BinningRes
             )
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def cmd_bin(args: argparse.Namespace) -> Path:
     """Run the selected optimizers (and optionally the naive baselines) on an
     events CSV; write a JSON result document plus a plot-series CSV."""
@@ -126,7 +131,7 @@ def cmd_bin(args: argparse.Namespace) -> Path:
     if args.delta_t is not None:
         d = discretize_by_width(ev, args.delta_t)
     else:
-        d = discretize(ev, min(ev.N, AUTO_T_CAP) if args.T == "auto" else args.T)
+        d = discretize(ev, min(ev.N, TABLE_STEPS) if args.T == "auto" else args.T)
     results: list[BinningResult] = []
     if args.method in ("exact", "both"):
         results.append(solve_dp(d))
@@ -150,9 +155,7 @@ def cmd_bin(args: argparse.Namespace) -> Path:
         "results": [_result_entry(d, res) for res in results],
     }
     out = Path(args.output)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, doc)
     _write_series_csv(out.with_suffix(".series.csv"), d, results)
     return out
 
@@ -186,9 +189,7 @@ def cmd_synth(args: argparse.Namespace) -> Path:
         "tau": list(res.binning.widths),
         "m": [int(x) for x in res.partition.sizes],
     }
-    with open(out.with_suffix(".planted.json"), "w", encoding="utf-8") as fh:
-        json.dump(planted, fh, indent=2)
-        fh.write("\n")
+    _write_json(out.with_suffix(".planted.json"), planted)
     return out
 
 
@@ -256,27 +257,54 @@ def _load_result_file(path: str) -> dict:
         raise EventDataError(f"{path}: not a result document (expected a JSON object)")
     if doc.get("format_version") != FORMAT_VERSION:
         raise EventDataError(f"{path}: unsupported format_version")
-    missing = _first_missing_key(doc)
-    if missing is not None:
-        raise EventDataError(f"{path}: not a result document: missing key {missing!r}")
+    problem = _first_bad_key(doc)
+    if problem is not None:
+        raise EventDataError(f"{path}: not a result document: {problem}")
     return doc
 
 
-def _first_missing_key(doc: dict) -> str | None:
-    """The first key cmd_metrics reads that `doc` lacks (or holds as the
-    wrong kind of container), as a path such as results[0].dl.decoupled."""
-    for key in ("N", "S", "D", "T", "delta_t", "origin", "results"):
-        if key not in doc:
-            return key
-    if not isinstance(doc["results"], list):
-        return "results"
-    for i, res in enumerate(doc["results"]):
-        for key in ("method", "K", "tau", "eta", "dl"):
-            if not isinstance(res, dict) or key not in res:
-                return f"results[{i}].{key}"
-        if not isinstance(res["dl"], dict) or "decoupled" not in res["dl"]:
-            return f"results[{i}].dl.decoupled"
-    return None
+# type(), not isinstance(): a bool is neither an int nor a number here
+def _count(v) -> bool:
+    return type(v) is int and v > 0
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _finite(v) -> bool:
+    return _number(v) and math.isfinite(v)
+
+
+def _first_bad_key(doc: dict) -> str | None:
+    """What is wrong with the first key cmd_metrics reads that `doc` lacks
+    or holds as the wrong kind of value, naming it by a path such as
+    results[0].dl.decoupled."""
+
+    def check(obj: dict, prefix: str, keys) -> str | None:
+        for key, ok in keys:
+            if key not in obj:
+                return f"missing key {prefix + key!r}"
+            if not ok(obj[key]):
+                return f"bad value for key {prefix + key!r}"
+        return None
+
+    problem = check(doc, "", [
+        ("N", _count), ("S", _count), ("D", _count), ("T", _count), ("delta_t", _finite),
+        ("origin", _finite), ("results", lambda v: type(v) is list),
+    ])
+    for i, res in enumerate(doc["results"] if problem is None else []):
+        res, at = res if type(res) is dict else {}, f"results[{i}]."
+        problem = check(res, at, [
+            ("method", lambda v: True),
+            ("tau", lambda v: type(v) is list and v != [] and all(map(_count, v))),
+            ("K", lambda v: type(v) is int and v == len(res["tau"])),
+            ("eta", _number),
+            ("dl", lambda v: type(v) is dict),
+        ]) or check(res["dl"], at + "dl.", [("decoupled", _number)])
+        if problem is not None:
+            break
+    return problem
 
 
 def cmd_metrics(args: argparse.Namespace) -> Path:
@@ -335,18 +363,8 @@ def cmd_metrics(args: argparse.Namespace) -> Path:
     gaps = [[decoupled[i] - decoupled[j] for j in range(n)] for i in range(n)]
 
     out = Path(args.output)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "format_version": FORMAT_VERSION,
-                "results": entries,
-                "ccami_matrix": cc,
-                "dl_gap_bits": gaps,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    doc = {"format_version": FORMAT_VERSION, "results": entries, "ccami_matrix": cc, "dl_gap_bits": gaps}
+    _write_json(out, doc)
     return out
 
 
@@ -395,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin = sub.add_parser("bin", help="infer binnings from an events CSV")
     p_bin.add_argument("--input", required=True)
     p_bin.add_argument("--output", required=True)
-    p_bin.add_argument("--T", type=_steps, default="auto", help='timestep count or "auto" (min(N, 5000))')
+    p_bin.add_argument("--T", type=_steps, default="auto", help=f'timestep count or "auto" (min(N, {TABLE_STEPS}))')
     p_bin.add_argument("--delta-t", type=_positive_float, default=None, help="timestep width (overrides --T)")
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
     p_bin.add_argument("--K", type=_positive_int, default=None, help="cluster count for the baselines")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 LN2 = math.log(2.0)
 
@@ -88,42 +88,38 @@ def count_margin_matrices(rows: Sequence[int], cols: Sequence[int]) -> int:
     return _count_tables(r, c, 0, {})
 
 
+def _column_fills(rows: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
+    """The row sums left by each way of putting `budget` into one column
+    with at most rows[i] in row i, the fills in lexicographic order (first
+    row slowest)."""
+    n = len(rows)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + rows[i]
+
+    def fill(i: int, b: int, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if i == n - 1:
+            if b <= rows[i]:
+                yield head + (rows[i] - b,)
+            return
+        for v in range(max(0, b - suffix[i + 1]), min(rows[i], b) + 1):
+            yield from fill(i + 1, b - v, head + (rows[i] - v,))
+
+    return fill(0, budget, ())
+
+
 def _count_tables(rows: tuple[int, ...], cols: tuple[int, ...], j: int, memo: dict) -> int:
     # rows: residual row sums sorted descending; cols[j:]: columns still to fill.
     if j == len(cols) - 1:
         return 1  # last column forced to the residual row sums
     key = (rows, j)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    budget = cols[j]
-    nrows = len(rows)
-    suffix = [0] * (nrows + 1)
-    for i in range(nrows - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + rows[i]
-    residual = list(rows)
-    total = 0
-
-    def fill(i: int, b: int) -> None:
-        nonlocal total
-        if i == nrows - 1:
-            if b <= residual[i]:
-                residual[i] -= b
-                total += _count_tables(
-                    tuple(sorted(residual, reverse=True)), cols, j + 1, memo
-                )
-                residual[i] += b
-            return
-        lo = max(0, b - suffix[i + 1])
-        hi = min(residual[i], b)
-        for v in range(lo, hi + 1):
-            residual[i] -= v
-            fill(i + 1, b - v)
-            residual[i] += v
-
-    fill(0, budget)
-    memo[key] = total
-    return total
+    if hit is None:
+        hit = memo[key] = sum(
+            _count_tables(tuple(sorted(left, reverse=True)), cols, j + 1, memo)
+            for left in _column_fills(rows, cols[j])
+        )
+    return hit
 
 
 def log2_omega_exact(m: Margins) -> float:

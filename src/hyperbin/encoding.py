@@ -20,8 +20,6 @@ from .combinatorics import LN2, ec_bits, log2_binomial, log2_multiset
 from .events import (
     Binning,
     DiscretizedEvents,
-    EmptyClusterError,
-    HypergraphSnapshot,
     induce_partition,
     build_snapshot,
 )
@@ -29,8 +27,8 @@ from .events import (
 INF = math.inf
 
 # the engine's lgamma table covers widths of up to this many steps, whatever
-# T is, so a grid of at most this many steps (the `--T auto` cap) takes every
-# width from the table: mixing table and math.lgamma values can break a
+# T is, so a grid of at most this many steps (`--T auto` caps T here) takes
+# every width from the table: mixing table and math.lgamma values can break a
 # bit-exact tie between the two ends of an eventless gap the other way
 TABLE_STEPS = 5000
 
@@ -56,33 +54,6 @@ def stage1_dl(N: int, T: int, K: int) -> float:
     if not 1 <= K <= min(N, T):
         raise ValueError(f"need 1 <= K <= min(N, T), got K={K}, N={N}, T={T}")
     return log2_binomial(T - 1, K - 1) + log2_binomial(N - 1, K - 1)
-
-
-def _snapshot_stage2(snap: HypergraphSnapshot, S: int, D: int) -> float:
-    m = snap.m_k
-    return (
-        log2_multiset(S, m) + log2_multiset(D, m) + log2_multiset(snap.tau_k, m)
-    )
-
-
-def _snapshot_stage3(snap: HypergraphSnapshot) -> float:
-    s_pos = tuple(int(v) for v in snap.source_margin if v > 0)
-    d_pos = tuple(int(v) for v in snap.dest_margin if v > 0)
-    g_pos = tuple(snap.edges.values())
-    return ec_bits(s_pos, d_pos) + ec_bits(g_pos, snap.step_counts.tolist())
-
-
-def cluster_dl(snap: HypergraphSnapshot, N: int, T: int) -> float:
-    """Decoupled description-length cost of one cluster.
-
-    Constant + the three stage-2 multiset terms + the two stage-3 matrix
-    count terms (effective-columns estimates, zero entries stripped).
-    """
-    if snap.m_k < 1:
-        raise EmptyClusterError("cluster_dl needs a cluster with at least one event")
-    S = len(snap.source_margin)
-    D = len(snap.dest_margin)
-    return decoupled_constant(N, T) + _snapshot_stage2(snap, S, D) + _snapshot_stage3(snap)
 
 
 @dataclass(frozen=True)
@@ -111,8 +82,12 @@ def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
     l2_terms, l3_terms = [], []
     for k in range(b.K):
         snap = build_snapshot(d, b, k)
-        l2_terms.append(_snapshot_stage2(snap, S, D))
-        l3_terms.append(_snapshot_stage3(snap))
+        m = snap.m_k
+        l2_terms.append(log2_multiset(S, m) + log2_multiset(D, m) + log2_multiset(snap.tau_k, m))
+        s_pos = tuple(int(v) for v in snap.source_margin if v > 0)
+        d_pos = tuple(int(v) for v in snap.dest_margin if v > 0)
+        g_pos = tuple(snap.edges.values())
+        l3_terms.append(ec_bits(s_pos, d_pos) + ec_bits(g_pos, snap.step_counts.tolist()))
     L1 = stage1_dl(N, T, part.K)
     L2 = sum(l2_terms)
     L3 = sum(l3_terms)
@@ -126,6 +101,24 @@ def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
         decoupled_total=sum(per_cluster),
         per_cluster=per_cluster,
     )
+
+
+def _add_weighted(cnt: dict, hist: dict, pairs, lgt, lg1: float) -> float:
+    """Add (key, count) pairs to the counts `cnt` and to `hist`, their
+    weight histogram; returns `lg1`, a sum of lgamma(count + 1) over the
+    keys, updated in the order of `pairs`."""
+    for key, c in pairs:
+        c0 = cnt.get(key, 0)
+        c1 = cnt[key] = c0 + c
+        if c0:
+            n = hist[c0]
+            if n == 1:
+                del hist[c0]
+            else:
+                hist[c0] = n - 1
+        hist[c1] = hist.get(c1, 0) + 1
+        lg1 += lgt[c1 + 1] - lgt[c0 + 1]
+    return lg1
 
 
 class MarginState:
@@ -164,37 +157,15 @@ class MarginState:
         `lgt` is an integer lgamma lookup table covering counts up to the
         total event count.
         """
-        s_cnt, s_hist = self.s_cnt, self.s_hist
-        for s, c in s_pairs:
-            c0 = s_cnt.get(s, 0)
-            c1 = s_cnt[s] = c0 + c
-            if c0:
-                n = s_hist[c0]
-                if n == 1:
-                    del s_hist[c0]
-                else:
-                    s_hist[c0] = n - 1
-            s_hist[c1] = s_hist.get(c1, 0) + 1
-            self.lg_s1 += lgt[c1 + 1] - lgt[c0 + 1]
-            self.m += c
+        self.lg_s1 = _add_weighted(self.s_cnt, self.s_hist, s_pairs, lgt, self.lg_s1)
         d_cnt = self.d_cnt
-        for t, c in d_pairs:
+        for t, c in d_pairs:  # every event has one destination
             c0 = d_cnt.get(t, 0)
             d_cnt[t] = c0 + c
             self.lg_d1 += lgt[c0 + c + 1] - lgt[c0 + 1]
             self.sum_d2 += (2 * c0 + c) * c
-        g_cnt, g_hist = self.g_cnt, self.g_hist
-        for g, c in g_pairs:
-            c0 = g_cnt.get(g, 0)
-            c1 = g_cnt[g] = c0 + c
-            if c0:
-                n = g_hist[c0]
-                if n == 1:
-                    del g_hist[c0]
-                else:
-                    g_hist[c0] = n - 1
-            g_hist[c1] = g_hist.get(c1, 0) + 1
-            self.lg_g1 += lgt[c1 + 1] - lgt[c0 + 1]
+            self.m += c
+        self.lg_g1 = _add_weighted(self.g_cnt, self.g_hist, g_pairs, lgt, self.lg_g1)
 
     @classmethod
     def merged(cls, a: "MarginState", b: "MarginState", lgt) -> "MarginState":
@@ -216,15 +187,15 @@ class MarginState:
 class IntervalCostEngine:
     """Fast decoupled cluster costs over contiguous timestep intervals.
 
-    Same objective as cluster_dl, organized for the optimizers: fixed
-    per-timestep counts live in prefix tables over the occupied steps so the
-    time-margin side of the cost is O(1), and source/destination/edge margins
-    come from an incrementally maintained MarginState. The width enters the
-    cost only through `width_bits`, so the cost of one range of occupied
-    steps at any other width is an O(1) correction, which is what lets the
-    dynamic program evaluate each range once. Past TABLE_STEPS steps nothing
-    here grows with the step count T: set-up is O(N + P) for P occupied
-    steps.
+    Same objective as total_dl_exact(d, b).per_cluster, organized for the
+    optimizers: fixed per-timestep counts live in prefix tables over the
+    occupied steps so the time-margin side of the cost is O(1), and
+    source/destination/edge margins come from an incrementally maintained
+    MarginState. The width enters the cost only through `width_bits`, so the
+    cost of one range of occupied steps at any other width is an O(1)
+    correction, which is what lets the dynamic program evaluate each range
+    once. Past TABLE_STEPS steps nothing here grows with the step count T:
+    set-up is O(N + P) for P occupied steps.
     """
 
     def __init__(self, d: DiscretizedEvents):

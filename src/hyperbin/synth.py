@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _count_tables
+from .combinatorics import _column_fills, _count_tables
 from .events import Binning, DiscretizedEvents, EventPartition, EventSet, discretize_on_grid
 
 
@@ -169,50 +169,21 @@ def _sample_uniform_small(rows: list[int], cols: list[int], rng) -> list[list[in
     # (the forced last one) is never enumerated.
     order = sorted(range(len(cols)), key=cols.__getitem__)
     csorted = tuple(cols[j] for j in order)
-    R, C = len(rows), len(cols)
-    residual = list(rows)
-    table = [[0] * C for _ in range(R)]
+    table = [[0] * len(cols) for _ in rows]
+    residual = tuple(rows)
     memo: dict = {}
-    for jj in range(C - 1):
-        budget = csorted[jj]
-        suffix = [0] * (R + 1)
-        for i in range(R - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + residual[i]
-        fills: list[tuple[int, ...]] = []
-        weights: list[int] = []
-        fill = [0] * R
-
-        def rec(i: int, b: int) -> None:
-            if i == R - 1:
-                if b <= residual[i]:
-                    fill[i] = b
-                    residual[i] -= b
-                    w = _count_tables(
-                        tuple(sorted(residual, reverse=True)), csorted, jj + 1, memo
-                    )
-                    residual[i] += b
-                    if w:
-                        fills.append(tuple(fill))
-                        weights.append(w)
-                return
-            lo = max(0, b - suffix[i + 1])
-            hi = min(residual[i], b)
-            for v in range(lo, hi + 1):
-                fill[i] = v
-                residual[i] -= v
-                rec(i + 1, b - v)
-                residual[i] += v
-            fill[i] = 0
-
-        rec(0, budget)
-        chosen = fills[_weighted_choice(rng, weights)]
-        col = order[jj]
-        for i in range(R):
-            table[i][col] = chosen[i]
-            residual[i] -= chosen[i]
-    col = order[C - 1]
-    for i in range(R):
-        table[i][col] = residual[i]
+    for jj, col in enumerate(order[:-1]):
+        lefts = list(_column_fills(residual, csorted[jj]))
+        weights = [
+            _count_tables(tuple(sorted(left, reverse=True)), csorted, jj + 1, memo)
+            for left in lefts
+        ]
+        left = lefts[_weighted_choice(rng, weights)]
+        for i, (r, rest) in enumerate(zip(residual, left)):
+            table[i][col] = r - rest
+        residual = left
+    for i, r in enumerate(residual):
+        table[i][order[-1]] = r
     return table
 
 

@@ -180,6 +180,18 @@ class TestBinCommand:
         assert run("bin", "--input", events, "--output", out, "--method", "greedy") == 0
         assert json.loads(out.read_text())["T"] == 10  # min(N, 5000)
 
+    def test_auto_t_is_capped_at_the_lgamma_table(self, tmp_path):
+        from hyperbin.encoding import TABLE_STEPS
+
+        events = tmp_path / "events.csv"
+        rows = [("a", "x", "0.0")] * TABLE_STEPS + [("b", "y", "1.0")]
+        with open(events, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("source", "destination", "timestamp")] + rows)
+        out = tmp_path / "result.json"
+        assert run("bin", "--input", events, "--output", out, "--method", "greedy") == 0
+        doc = json.loads(out.read_text())
+        assert (doc["N"], doc["T"]) == (TABLE_STEPS + 1, TABLE_STEPS)
+
     def test_delta_t_override(self, tmp_path):
         events = tmp_path / "events.csv"
         write_sample_csv(events)
@@ -338,6 +350,40 @@ class TestMetricsCommand:
         code, err = self.metrics_of(tmp_path, capsys, doc)
         assert code == 2
         assert "result.json: not a result document: missing key 'results[1].dl'" in err
+
+    # (path to the key, bad value, the path the error names)
+    @pytest.mark.parametrize(
+        "where, value, named",
+        [
+            (("results", 0, "dl", "decoupled"), "abc", "results[0].dl.decoupled"),
+            (("results", 0, "dl", "decoupled"), None, "results[0].dl.decoupled"),
+            (("T",), "5000", "T"),
+            (("N",), True, "N"),
+            (("S",), 0, "S"),
+            (("D",), 4.0, "D"),
+            (("delta_t",), "0.9875", "delta_t"),
+            (("origin",), float("nan"), "origin"),
+            (("origin",), False, "origin"),
+            (("results", 0, "K"), 99, "results[0].K"),
+            (("results", 1, "K"), 4.0, "results[1].K"),
+            (("results", 0, "eta"), None, "results[0].eta"),
+            (("results", 2, "eta"), True, "results[2].eta"),
+            (("results", 0, "tau"), "12", "results[0].tau"),
+            (("results", 0, "tau"), [], "results[0].tau"),
+            (("results", 3, "tau"), [39, 8, 0, 33], "results[3].tau"),
+            (("results", 3, "tau"), [39, 8, True, 32], "results[3].tau"),
+            (("results",), {}, "results"),
+        ],
+    )
+    def test_wrongly_typed_field_is_rejected(self, tmp_path, capsys, where, value, named):
+        doc = json.loads((GOLDEN / "result.json").read_text(encoding="utf-8"))
+        holder = doc
+        for key in where[:-1]:
+            holder = holder[key]
+        holder[where[-1]] = value
+        code, err = self.metrics_of(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"result.json: not a result document: bad value for key {named!r}" in err
 
     def test_mismatched_dataset_rejected(self, workspace, tmp_path):
         events, result = workspace

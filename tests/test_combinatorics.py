@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperbin.combinatorics import (
     Margins,
+    _column_fills,
     count_margin_matrices,
     ec_bits,
     log2_binomial,
@@ -120,6 +123,17 @@ class TestOmegaExact:
     def test_infeasible_margins(self):
         with pytest.raises(ValueError):
             count_margin_matrices((2, 1), (4,))
+
+
+class TestColumnFills:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=5), st.integers(0, 12))
+    def test_bounded_fills_in_product_order(self, rows, budget):
+        expected = [
+            tuple(r - v for r, v in zip(rows, fill))
+            for fill in itertools.product(*(range(r + 1) for r in rows))
+            if sum(fill) == budget
+        ]
+        assert list(_column_fills(rows, budget)) == expected
 
 
 class TestOmegaEffectiveColumns:

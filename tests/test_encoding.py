@@ -14,7 +14,6 @@ from hyperbin import (
     IntervalCostEngine,
     Margins,
     build_snapshot,
-    cluster_dl,
     decoupled_constant,
     discretize,
     discretize_on_grid,
@@ -62,14 +61,16 @@ class TestStage1Dl:
 
 
 class TestClusterDl:
+    """total_dl_exact(d, b).per_cluster[k], the decoupled cost of cluster k."""
+
     def test_single_event_cluster_reduces_to_bin_counts(self):
         ev = parse_events([("a", "x", 0.0), ("b", "y", 10.0)])
         d = discretize(ev, 10)
-        snap = build_snapshot(d, Binning((4, 6)), 0)
         expected = (
             decoupled_constant(2, 10) + math.log2(2) + math.log2(2) + math.log2(4)
         )
-        assert cluster_dl(snap, 2, 10) == pytest.approx(expected, abs=1e-9)
+        got = total_dl_exact(d, Binning((4, 6))).per_cluster[0]
+        assert got == pytest.approx(expected, abs=1e-9)
 
     def test_width_one_cluster_drops_time_terms(self):
         ev = parse_events([("a", "x", 0.0), ("b", "y", 0.01), ("b", "y", 10.0)])
@@ -83,12 +84,12 @@ class TestClusterDl:
             + 0.0
             + log2_omega_exact(Margins((1, 1), (1, 1)))
         )
-        assert cluster_dl(snap, 3, 10) == pytest.approx(expected, abs=1e-9)
+        got = total_dl_exact(d, Binning((1, 9))).per_cluster[0]
+        assert got == pytest.approx(expected, abs=1e-9)
 
     def test_finite_positive_and_near_exact_omega(self):
         d = discretize(sample_events(), 12)
-        snap = build_snapshot(d, Binning((7, 5)), 0)
-        got = cluster_dl(snap, 10, 12)
+        got = total_dl_exact(d, Binning((7, 5))).per_cluster[0]
         assert math.isfinite(got) and got > 0
         # replace both estimates by exact counts: difference stays within the
         # estimator's accuracy budget (two terms, each within 0.5 bits here)
@@ -104,12 +105,13 @@ class TestClusterDl:
         assert abs(approx_terms - exact_terms) <= 1.0
 
     def test_rejects_empty(self):
-        ev = parse_events([("a", "x", 0.0), ("b", "y", 10.0)])
-        d = discretize(ev, 10)
-        snap = build_snapshot(d, Binning((4, 6)), 0)
-        object.__setattr__(snap, "m_k", 0)
+        # on a grid anchored at 0 the events sit in steps 5 and 9, so the
+        # first cluster, steps 0-3, holds none
+        ev = parse_events([("a", "x", 5.0), ("b", "y", 10.0)])
+        d = discretize_on_grid(ev, 10, 0.0, 1.0)
+        assert d.step_of_event.tolist() == [5, 9]
         with pytest.raises(EmptyClusterError):
-            cluster_dl(snap, 2, 10)
+            total_dl_exact(d, Binning((4, 6)))
 
 
 class TestTotalDlExact:

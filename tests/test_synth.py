@@ -156,6 +156,28 @@ class TestContingencyTable:
         with pytest.raises(ValueError):
             sample_contingency_table([2, 1], [4], np.random.default_rng(0))
 
+    # exact-regime draws (total <= 40, 3-6 nonzero rows and columns), recorded
+    # before the sampler shared its column-fill walk with the exact count; the
+    # last two run transposed (more rows than columns)
+    @pytest.mark.parametrize(
+        "rows, cols, seed, table",
+        [
+            ([3, 2, 2], [4, 2, 1], 1, [[2, 1, 0], [1, 0, 1], [1, 1, 0]]),
+            ([5, 4, 3, 1], [2, 6, 3, 2], 2,
+             [[1, 4, 0, 0], [1, 2, 0, 1], [0, 0, 3, 0], [0, 0, 0, 1]]),
+            ([1, 2, 3, 4, 5, 6], [3, 3, 3, 3, 3, 3, 3], 5,
+             [[0, 0, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1, 1],
+              [0, 0, 0, 0, 3, 1, 0], [1, 1, 0, 2, 0, 0, 1], [1, 0, 3, 0, 0, 1, 1]]),
+            ([2, 7, 1, 5, 3], [4, 4, 4, 6], 3,
+             [[0, 0, 0, 2], [3, 0, 1, 3], [1, 0, 0, 0], [0, 4, 0, 1], [0, 0, 3, 0]]),
+            ([10, 8, 6, 4, 2, 1, 1], [5, 5, 5, 5, 6, 6], 6,
+             [[1, 1, 1, 4, 2, 1], [2, 1, 0, 0, 1, 4], [0, 2, 1, 0, 3, 0], [2, 1, 1, 0, 0, 0],
+              [0, 0, 1, 0, 0, 1], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]),
+        ],
+    )
+    def test_exact_draws_are_pinned(self, rows, cols, seed, table):
+        assert sample_contingency_table(rows, cols, seed).tolist() == table
+
 
 class TestGenerateSynthetic:
     def test_degenerate_single_pair(self):
