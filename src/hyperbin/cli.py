@@ -255,7 +255,7 @@ def _load_result_file(path: str) -> dict:
         raise EventDataError(f"{path}: not a valid result file: {exc}") from None
     if not isinstance(doc, dict):
         raise EventDataError(f"{path}: not a result document (expected a JSON object)")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if type(version := doc.get("format_version")) is not int or version != FORMAT_VERSION:
         raise EventDataError(f"{path}: unsupported format_version")
     problem = _first_bad_key(doc)
     if problem is not None:

@@ -193,8 +193,8 @@ class IntervalCostEngine:
     source/destination/edge margins come from an incrementally maintained
     MarginState. The width enters the cost only through `width_bits`, so the
     cost of one range of occupied steps at any other width is an O(1)
-    correction, which is what lets the dynamic program evaluate each range
-    once. Past TABLE_STEPS steps nothing here grows with the step count T:
+    correction: the dynamic program scores each range once, at its tightest
+    width, through range_costs. Past TABLE_STEPS nothing grows with T:
     set-up is O(N + P) for P occupied steps.
     """
 
@@ -286,16 +286,32 @@ class IntervalCostEngine:
             self.add_occupied_step(state, p)
         return state
 
-    def width_bits(self, m: int, tau: int) -> float:
+    def range_costs(self, starts: list[int], z: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cost and event count of every cluster [starts[p0], z) holding the
+        occupied ranks [p0, len(starts)), indexed by p0: one MarginState
+        grows down from the last rank, with one interval_cost call per range."""
+        state, costs, counts = MarginState(), [], []
+        for p0 in range(len(starts) - 1, -1, -1):
+            self.add_occupied_step(state, p0)
+            costs.append(self.interval_cost(starts[p0], z, state))
+            counts.append(state.m)
+        return np.array(costs[::-1]), np.array(counts[::-1])
+
+    def width_bits(self, m, tau):
         """The width-dependent part of a cluster's cost: the timestep
         multiset term of m events on tau steps without its lgamma(m + 1),
         log2 of tau (tau + 1) ... (tau + m - 1). Concave in tau, which is
-        why an optimal cut sits at one end of its eventless gap."""
-        lgt = self.lgt
-        try:
-            return (lgt[m + tau] - lgt[tau]) / LN2
-        except IndexError:  # past the table, which T does not size
-            return (math.lgamma(m + tau) - math.lgamma(tau)) / LN2
+        why an optimal cut sits at one end of its eventless gap. Takes ints
+        or integer arrays; past the table, which T does not size, a pair
+        falls back to math.lgamma."""
+        top = m + tau
+        if isinstance(top, np.ndarray):
+            if (top < len(self.lgt)).all():
+                return (self._lgt_np[top] - self._lgt_np[tau]) / LN2
+            return np.vectorize(self.width_bits, otypes=[float])(m, tau)  # pair by pair
+        if top < len(self.lgt):
+            return (self.lgt[top] - self.lgt[tau]) / LN2
+        return (math.lgamma(top) - math.lgamma(tau)) / LN2
 
     def _ec(self, m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
         """Effective-columns bits (combinatorics.ec_bits) of the nr x nc

@@ -98,43 +98,28 @@ def _dp_table(eng: IntervalCostEngine) -> tuple[dict[int, float], dict[int, int]
     decoupled cost of the first j timesteps and parent[j] the start of its
     final cluster, for every candidate j.
 
-    Each of the P(P+1)/2 ranges of occupied steps costs one interval_cost
-    call, at its tightest width; its other gap-end widths differ only in
-    width_bits. Ties pick the smallest start (longest final cluster).
+    Each row of ends scores its ranges at their tightest widths in one
+    range_costs call, P(P+1)/2 ranges in all; other gap-end widths differ only
+    in width_bits, added in a numpy min-plus. Ties pick the smallest start.
     """
-    occ = eng.occupied
-    # candidate cuts before each occupied step (one when its gap is empty)
-    cuts = [(0,)] + [(a + 1, z) if a + 1 < z else (z,) for a, z in zip(occ, occ[1:])]
-    cuts.append((eng.T,))
-    width = eng.width_bits
-
-    best = {0: 0.0}
-    parent = {0: 0}
-    for p1 in range(1, len(cuts)):
-        ends = cuts[p1]
-        z = ends[0]  # tightest end: just past the last event step
-        row = [INF] * len(ends)
-        arg = [0] * len(ends)
-        state = MarginState()
-        # starts scanned downward and ties taken, so the smallest start wins
-        for p0 in range(p1 - 1, -1, -1):
-            eng.add_occupied_step(state, p0)
-            starts = cuts[p0]
-            a = starts[-1]  # tightest start: the first event step
-            c = eng.interval_cost(a, z, state)
-            m = state.m
-            w = width(m, z - a)
-            for s in reversed(starts):
-                prefix = best[s]
-                for k, e in enumerate(ends):
-                    v = prefix + (c + (width(m, e - s) - w))
-                    if v <= row[k]:
-                        row[k] = v
-                        arg[k] = s
-        for e, v, s in zip(ends, row, arg):
-            best[e] = v
-            parent[e] = s
-    return best, parent
+    occ, P = eng.occupied, len(eng.occupied)
+    # candidate cuts before each occupied rank (one when its gap is empty)
+    cuts = [[0]] + [[a + 1, z] if a + 1 < z else [z] for a, z in zip(occ, occ[1:])] + [[eng.T]]
+    pos, rank = np.concatenate(cuts), np.repeat(np.arange(P + 1), [len(cs) for cs in cuts])
+    bounds = np.searchsorted(rank, np.arange(P + 2)).tolist()  # rank p: [bounds[p], bounds[p + 1])
+    tight = [0] + occ[1:]  # tightest start of each rank: its first event step
+    tight_np = np.array(tight)
+    best, parent = np.zeros(len(pos)), np.zeros(len(pos), dtype=np.int64)
+    for p1 in range(1, P + 1):
+        n, n1 = bounds[p1], bounds[p1 + 1]  # row p1's ends
+        z = int(pos[n])  # tightest end: just past the last event step
+        c, m = eng.range_costs(tight[:p1], z)
+        w = eng.width_bits(m, z - tight_np[:p1])
+        r, s = rank[:n], pos[:n]
+        v = best[:n] + (c[r] + (eng.width_bits(m[r], pos[n:n1, None] - s) - w[r]))
+        # argmin takes the first minimum: the smallest start
+        best[n:n1], parent[n:n1] = v.min(axis=1), s[v.argmin(axis=1)]
+    return dict(zip(pos.tolist(), best.tolist())), dict(zip(pos.tolist(), parent.tolist()))
 
 
 def solve_dp(d: DiscretizedEvents) -> BinningResult:
@@ -142,20 +127,18 @@ def solve_dp(d: DiscretizedEvents) -> BinningResult:
 
     Minimizes the decoupled description length over all binnings with no
     eventless cluster, selecting the number of bins automatically. Costs
-    P(P+1)/2 interval evaluations for P occupied timesteps, whatever the
-    step count T.
+    P(P+1)/2 interval evaluations (P range_costs rows) for P occupied
+    timesteps, whatever the step count T.
     """
     t0 = time.perf_counter()
     eng = IntervalCostEngine(d)
     _, parent = _dp_table(eng)
-    widths = []
-    j = d.T
-    while j > 0:
-        i = parent[j]
-        widths.append(j - i)
-        j = i
-    widths.reverse()
-    return _finish(d, Binning(tuple(widths)), "exact_dp", time.perf_counter() - t0, cap_at_single=True)
+    bounds = [d.T]
+    while bounds[-1] > 0:
+        bounds.append(parent[bounds[-1]])
+    bounds.reverse()
+    widths = tuple(z - a for a, z in zip(bounds, bounds[1:]))
+    return _finish(d, Binning(widths), "exact_dp", time.perf_counter() - t0, cap_at_single=True)
 
 
 def solve_greedy(d: DiscretizedEvents) -> BinningResult:

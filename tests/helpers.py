@@ -14,6 +14,7 @@ from hyperbin import (
     discretize_on_grid,
     parse_events,
 )
+from hyperbin.encoding import MarginState
 
 # 10 events over 4 sources and 3 destinations, placed on a 12-step grid so
 # that the first 6 events land in steps 0-5 and the last 4 in steps 7-11.
@@ -105,11 +106,50 @@ def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
     return tuple(z - a for a, z in zip(bounds, bounds[1:])), total, merges
 
 
+def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
+    """The gap-end segmentation recursion as plain Python loops: best[j] and
+    parent[j] for every candidate cut j (0, T and both ends of every
+    eventless gap), scoring each range of occupied steps once at its
+    tightest width and every (start, end) pair with a scalar width_bits.
+    Starts are scanned downward and ties taken, so the smallest start wins.
+    """
+    occ = eng.occupied
+    cuts = [(0,)] + [(a + 1, z) if a + 1 < z else (z,) for a, z in zip(occ, occ[1:])]
+    cuts.append((eng.T,))
+    width = eng.width_bits
+    best = {0: 0.0}
+    parent = {0: 0}
+    for p1 in range(1, len(cuts)):
+        ends = cuts[p1]
+        z = ends[0]
+        row = [math.inf] * len(ends)
+        arg = [0] * len(ends)
+        state = MarginState()
+        for p0 in range(p1 - 1, -1, -1):
+            eng.add_occupied_step(state, p0)
+            starts = cuts[p0]
+            a = starts[-1]
+            c = eng.interval_cost(a, z, state)
+            m = state.m
+            w = width(m, z - a)
+            for s in reversed(starts):
+                prefix = best[s]
+                for k, e in enumerate(ends):
+                    v = prefix + (c + (width(m, e - s) - w))
+                    if v <= row[k]:
+                        row[k] = v
+                        arg[k] = s
+        for e, v, s in zip(ends, row, arg):
+            best[e] = v
+            parent[e] = s
+    return best, parent
+
+
 @st.composite
-def small_grids(draw):
-    """Random events on a unit grid of at most 10 steps; sometimes all on at
-    most 3 distinct steps, which leaves wide eventless gaps between them."""
-    T = draw(st.integers(1, 10))
+def small_grids(draw, max_T=10):
+    """Random events on a unit grid of at most max_T steps; sometimes all on
+    at most 3 distinct steps, which leaves wide eventless gaps between them."""
+    T = draw(st.integers(1, max_T))
     S, D, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
     ints = lambda hi: st.lists(st.integers(0, hi), min_size=m, max_size=m)
     pool = draw(st.none() | st.lists(st.integers(0, T - 1), min_size=1, max_size=3, unique=True))

@@ -217,9 +217,12 @@ def test_criterion_3_high_noise_ccami_falls_to_chance(recon_suite):
     planted cluster a strongly skewed degree profile, which stays
     statistically identifiable at these sizes (hundreds of events per
     cluster over 5 sources), so the optimizer keeps recovering the planted
-    boundaries. Verified against an objective that finds no structure in
-    unstructured data (K=1 on noise) and with the event/timestep partitions
-    drawn both independently and jointly. See the project decision notes.
+    boundaries. Checked with the event/timestep partitions drawn both
+    independently and jointly. The decoupled objective rarely finds
+    structure in unstructured data: on planted K=1 synth instances (N in
+    {30, 100, 300}, T in {10, 30, 100}, gamma in {0.01, 0.1, 1, 10}, S=D=5,
+    seeds 0-3) the DP kept one bin on 141 of 144 and split 3 into K=2, all
+    at gamma=10. See the project decision notes.
     """
     mean_acc = float(np.mean([acc for _, _, _, acc in recon_suite[(1000, 1.0)]]))
     report(

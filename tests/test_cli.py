@@ -344,6 +344,14 @@ class TestMetricsCommand:
         assert code == 2
         assert "result.json: not a result document: missing key 'N'" in err
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_must_be_the_int_1(self, tmp_path, capsys, version):
+        doc = json.loads((GOLDEN / "result.json").read_text(encoding="utf-8"))
+        doc["format_version"] = version
+        code, err = self.metrics_of(tmp_path, capsys, doc)
+        assert code == 2
+        assert "result.json: unsupported format_version" in err
+
     def test_result_without_a_dl_is_rejected(self, tmp_path, capsys):
         doc = json.loads((GOLDEN / "result.json").read_text(encoding="utf-8"))
         del doc["results"][1]["dl"]

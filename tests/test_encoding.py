@@ -243,9 +243,15 @@ class TestIntervalCostEngine:
         assert sizes[0] < sizes[1] == sizes[2] < 2 * TABLE_STEPS
         huge = IntervalCostEngine(discretize(ev, 10**9))
         # width_bits falls back to math.lgamma past the table
-        for m, tau in ((10, 20), (10, len(huge.lgt) - 10), (6, 10**9 - 7)):
+        pairs = ((10, 20), (10, len(huge.lgt) - 10), (6, 10**9 - 7))
+        for m, tau in pairs:
             want = (math.lgamma(m + tau) - math.lgamma(tau)) / math.log(2)
             assert huge.width_bits(m, tau) == pytest.approx(want, rel=1e-12)
+        # over integer arrays, broadcast as the DP does, it equals the scalar
+        # call pair by pair, inside the table and past it
+        m, tau = np.array(pairs).T
+        got = huge.width_bits(m, np.stack([tau, tau])).tolist()
+        assert got == [[huge.width_bits(a, b) for a, b in pairs]] * 2
         # and the costs still match the public path at that T
         d = discretize(ev, 10**9)
         assert huge.interval_cost(0, d.T, huge.state_for_interval(0, d.T)) == pytest.approx(
@@ -334,6 +340,29 @@ class TestEngineProperties:
                     assert math.isinf(got)
                 else:
                     assert abs(got - want) <= 1e-9, (a, z, got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=unit_grid_events(), data=st.data())
+    def test_range_costs_equal_interval_cost_per_range(self, d, data):
+        eng = IntervalCostEngine(d)
+        occ = eng.occupied
+        # any start in the gap before each occupied rank, any end after the last
+        starts = [data.draw(st.integers(p and occ[p - 1] + 1, a)) for p, a in enumerate(occ)]
+        for p1 in range(1, len(occ) + 1):
+            z = data.draw(st.integers(occ[p1 - 1] + 1, occ[p1] if p1 < len(occ) else d.T))
+            cost, m = eng.range_costs(starts[:p1], z)
+            assert len(cost) == len(m) == p1
+            for p0, a in enumerate(starts[:p1]):
+                # bit for bit with the steps added downward, as range_costs
+                # adds them; state_for_interval adds them upward, so its
+                # lgamma sums can round differently in the last bits
+                state = MarginState()
+                for p in range(p1 - 1, p0 - 1, -1):
+                    eng.add_occupied_step(state, p)
+                assert (cost[p0], m[p0]) == (eng.interval_cost(a, z, state), state.m)
+                upward = eng.state_for_interval(a, z)
+                assert m[p0] == upward.m
+                assert abs(cost[p0] - eng.interval_cost(a, z, upward)) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events(), data=st.data())

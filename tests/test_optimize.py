@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     random_event_set,
+    reference_dp_table,
     reference_greedy,
     reference_greedy_run,
     sample_events,
@@ -25,6 +26,14 @@ from hyperbin import (
     solve_greedy,
 )
 from hyperbin.encoding import MarginState
+from hyperbin.optimize import _dp_table
+
+
+def two_cluster_grid(gap, left, right):
+    """`left` events at step 0 and `right` at step gap + 1, with `gap`
+    eventless steps between them."""
+    ev = parse_events([("a", "x", 0.5)] * left + [("b", "y", gap + 1.5)] * right)
+    return discretize_on_grid(ev, gap + 2, 0.0, 1.0)
 
 
 def burst_pair_events(n_per_burst=100, t_hi=100.0):
@@ -120,7 +129,6 @@ class TestSolveDp:
         import math
 
         from hyperbin.encoding import IntervalCostEngine
-        from hyperbin.optimize import _dp_table
 
         rng = np.random.default_rng(106)
         ev = random_event_set(rng, 20, 3, 3)
@@ -158,14 +166,13 @@ class TestSolveDp:
         # the eventless gap joins the cluster with fewer events; two clusters
         # of equal shape cost the same with the cut at either end of it, and
         # the tie goes to the longest final cluster
-        ev = parse_events([("a", "x", 0.5)] * left + [("b", "y", gap + 1.5)] * right)
-        d = discretize_on_grid(ev, gap + 2, 0.0, 1.0)
+        d = two_cluster_grid(gap, left, right)
         expected = (gap + 1, 1) if left < right else (1, gap + 1)
         assert solve_dp(d).binning.widths == expected
+        assert _dp_table(IntervalCostEngine(d)) == reference_dp_table(IntervalCostEngine(d))
 
     def test_interval_evaluations_do_not_grow_with_T(self, monkeypatch):
         from hyperbin.encoding import IntervalCostEngine
-        from hyperbin.optimize import _dp_table
 
         calls = []
         original = IntervalCostEngine.interval_cost
@@ -198,6 +205,15 @@ class TestSolveDp:
 
 
 class TestDpProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(d=small_grids(max_T=60))
+    @example(d=two_cluster_grid(2, 5, 5))  # an exact two-way tie
+    @example(d=discretize_on_grid(parse_events([("a", "x", 2.5), ("b", "y", 5.5)]), 9, 0.0, 1.0))
+    def test_dp_table_equals_the_loop_oracle(self, d):
+        # equal, not approximately: the min-plus adds the same floats in the
+        # same order as the loop and breaks ties the same way
+        assert _dp_table(IntervalCostEngine(d)) == reference_dp_table(IntervalCostEngine(d))
+
     @settings(max_examples=60, deadline=None)
     @given(d=small_grids())
     def test_dp_equals_bruteforce(self, d):
