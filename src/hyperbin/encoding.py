@@ -129,18 +129,17 @@ class MarginState:
     source and edge counts (count -> number of sources or edges holding it,
     never with a zero key or a zero multiplicity), plus the running aggregate
     sums the effective-columns terms need, updated in O(1) per distinct value
-    added. `lo` and `hi` delimit the ranks [lo, hi) of the occupied steps it
-    holds when it is filled through IntervalCostEngine.add_occupied_step.
+    added. It holds no step range, and its sums round by the order steps go
+    in: the engine fills every range downward, `merged` in its own order.
     """
 
     __slots__ = (
         "m", "s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist",
-        "sum_d2", "lg_s1", "lg_d1", "lg_g1", "lo", "hi",
+        "sum_d2", "lg_s1", "lg_d1", "lg_g1",
     )
 
     def __init__(self):
         self.m = 0
-        self.lo = self.hi = 0
         self.s_cnt: dict[int, int] = {}
         self.d_cnt: dict[int, int] = {}
         self.g_cnt: dict[int, int] = {}
@@ -178,9 +177,6 @@ class MarginState:
         out.s_cnt, out.d_cnt, out.g_cnt = dict(big.s_cnt), dict(big.d_cnt), dict(big.g_cnt)
         out.s_hist, out.g_hist = dict(big.s_hist), dict(big.g_hist)
         out.add_counts(small.s_cnt.items(), small.d_cnt.items(), small.g_cnt.items(), lgt)
-        out.lo, out.hi = big.lo, big.hi
-        if small.m:  # the two rank spans are adjacent
-            out.lo, out.hi = min(a.lo, b.lo), max(a.hi, b.hi)
         return out
 
 
@@ -207,8 +203,8 @@ class IntervalCostEngine:
         self.const = decoupled_constant(self.N, self.T)
 
         self.occupied = d.occupied_steps.tolist()
-        occ_np = d.step_counts
-        P = len(occ_np)
+        self._step_counts = step_counts = d.step_counts
+        P = len(step_counts)
 
         # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments
         # reach a count (<= N) plus the number of sources, destinations or
@@ -219,11 +215,10 @@ class IntervalCostEngine:
         lgt_np = np.concatenate([[0.0, 0.0], np.cumsum(np.log(np.arange(1, size - 1)))])
         self.lgt = lgt_np.tolist()
         self._lgt_np = lgt_np
-        self._occ_np = occ_np
 
         zero = np.zeros(1)
-        self.pref_lg1 = np.concatenate([zero, np.cumsum(lgt_np[occ_np + 1])]).tolist()
-        self.pref_sq = np.concatenate([zero, np.cumsum(occ_np * occ_np)]).tolist()
+        self.pref_lg1 = np.concatenate([zero, np.cumsum(lgt_np[step_counts + 1])]).tolist()
+        self.pref_sq = np.concatenate([zero, np.cumsum(step_counts * step_counts)]).tolist()
 
         # nr -> prefix sums of lgamma(step count + nr) over occupied steps,
         # built on first use by the edge x step term (numpy rows: a list row
@@ -265,24 +260,16 @@ class IntervalCostEngine:
         return ms.tolist()
 
     def add_occupied_step(self, state: MarginState, p: int) -> None:
-        """Add the events of the p-th occupied step (`occupied[p]`), which
-        must be next to the ranks the state already holds."""
-        sp, dp, gp = self.step_pairs[p]
-        state.add_counts(sp, dp, gp, self.lgt)
-        if state.lo == state.hi:
-            state.lo, state.hi = p, p + 1
-        elif p == state.lo - 1:
-            state.lo = p
-        elif p == state.hi:
-            state.hi = p + 1
-        else:
-            raise ValueError(f"occupied step {p} is not next to ranks [{state.lo}, {state.hi})")
+        """Add the events of the p-th occupied step (`occupied[p]`); the
+        engine's own fills add a range's steps downward."""
+        state.add_counts(*self.step_pairs[p], self.lgt)
 
     def state_for_interval(self, a: int, z: int) -> MarginState:
-        """Margin state for the events of steps [a, z)."""
+        """Margin state for the events of steps [a, z), filled downward as
+        range_costs fills it, so both price a range bit-identically."""
         state = MarginState()
         occ = self.occupied
-        for p in range(bisect_left(occ, a), bisect_left(occ, z)):
+        for p in range(bisect_left(occ, z) - 1, bisect_left(occ, a) - 1, -1):
             self.add_occupied_step(state, p)
         return state
 
@@ -339,13 +326,13 @@ class IntervalCostEngine:
         """Decoupled cost of the cluster covering steps [a, z).
 
         `state` must hold the margins of exactly those steps' events, filled
-        through add_occupied_step (or state_for_interval, or merged), so
-        that its rank span names the occupied steps in [a, z).
-        Returns +inf for eventless intervals (inadmissible clusters). Both
-        effective-columns terms go through `_ec`, with the rows given as the
-        state's weight histogram; the edge x step term's sum of
-        lgamma(step count + nr) is one lookup in the step row of nr, which
-        is built on first use.
+        through add_occupied_step (or state_for_interval, or merged, whose
+        other fill order can move the cost by a few ulps); the occupied
+        ranks come from [a, z) itself. Returns +inf for eventless intervals
+        (inadmissible clusters). Both effective-columns terms go through
+        `_ec`, with the rows given as the state's weight histogram; the edge
+        x step term's sum of lgamma(step count + nr) is one lookup in the
+        step row of nr, which is built on first use.
         """
         m = state.m
         if m == 0:
@@ -369,12 +356,12 @@ class IntervalCostEngine:
         )
         # edges x occupied steps; the step margins come from the prefix
         # tables, Σ lgamma(step count + nr) from the step row of nr
-        p0, p1 = state.lo, state.hi
+        p0, p1 = bisect_left(self.occupied, a), bisect_left(self.occupied, z)
         nr = len(state.g_cnt)
         row = self._step_rows.get(nr)
         if row is None:
             row = self._step_rows[nr] = np.concatenate(
-                [[0.0], np.cumsum(self._lgt_np[self._occ_np + nr])]
+                [[0.0], np.cumsum(self._lgt_np[self._step_counts + nr])]
             )
         bits += self._ec(
             m, nr, p1 - p0, state.g_hist.items(), state.lg_g1,

@@ -155,7 +155,12 @@ def read_events_csv(path) -> EventSet:
             raise EventDataError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
+# the largest step count for which float64 holds every step index exactly, so
+# floor((t - origin) / delta_t) can neither overflow the int64 cast nor merge steps
+MAX_STEPS = 2**53
+
+
+@dataclass(frozen=True, eq=False)
 class DiscretizedEvents:
     """An EventSet mapped onto T uniform timesteps of width delta_t.
 
@@ -163,7 +168,8 @@ class DiscretizedEvents:
     step closed on the right; its representative time is the step midpoint,
     so the rounding distortion is at most delta_t / 2. Only the occupied
     steps are stored: `occupied_steps` (ascending) and `step_counts` (their
-    event counts), so nothing here grows with T.
+    event counts), so nothing here grows with T. Instances compare and
+    hash by identity, so a dataset can key a weak cache.
     """
 
     base: EventSet
@@ -204,8 +210,8 @@ def _finish_discretization(ev: EventSet, T: int, origin: float, delta_t: float) 
 
 def discretize(ev: EventSet, T: int) -> DiscretizedEvents:
     """Round event times onto T uniform steps spanning [t_1, t_N]."""
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
+    if not 1 <= T <= MAX_STEPS:
+        raise ValueError(f"need 1 <= T <= 2**53, got T={T}")
     t1 = float(ev.times[0])
     span = float(ev.times[-1]) - t1
     delta_t = span / T if span > 0 else 1.0
@@ -216,17 +222,16 @@ def discretize_by_width(ev: EventSet, delta_t: float) -> DiscretizedEvents:
     """Discretize with an explicit step width; T becomes ceil(span / delta_t).
 
     Raises ValueError, before allocating anything, when the derived step
-    count is not finite or does not fit an array index.
+    count is not finite or exceeds MAX_STEPS.
     """
     if not 0 < delta_t < math.inf:
         raise ValueError(f"need a finite delta_t > 0, got {delta_t}")
     t1 = float(ev.times[0])
     span = float(ev.times[-1]) - t1
     steps = span / delta_t
-    if not steps <= np.iinfo(np.intp).max:  # catches inf and nan too
+    if not steps <= MAX_STEPS:  # catches inf and nan too
         raise ValueError(
-            f"delta_t={delta_t} over a span of {span} gives T={steps:g} steps, "
-            "more than an array index can hold"
+            f"delta_t={delta_t} over a span of {span} gives T={steps:g} steps, more than 2**53"
         )
     T = max(1, math.ceil(steps))
     return _finish_discretization(ev, T, t1, delta_t)
@@ -239,8 +244,8 @@ def discretize_on_grid(ev: EventSet, T: int, origin: float, delta_t: float) -> D
     stored result) rather than derived from the observed time span. All
     event times must fall inside [origin, origin + T*delta_t].
     """
-    if T < 1 or delta_t <= 0:
-        raise ValueError("need T >= 1 and delta_t > 0")
+    if not 1 <= T <= MAX_STEPS or delta_t <= 0:
+        raise ValueError(f"need 1 <= T <= 2**53 and delta_t > 0, got T={T}, delta_t={delta_t}")
     lo, hi = float(ev.times[0]), float(ev.times[-1])
     if lo < origin - 1e-9 * delta_t or hi > origin + T * delta_t + 1e-9 * delta_t:
         raise ValueError("event times fall outside the supplied grid")

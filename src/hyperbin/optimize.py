@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Literal
 
@@ -38,6 +39,9 @@ Method = Literal[
 ]
 
 BRUTEFORCE_MAX_T = 14
+
+# each dataset's single-cluster DL, kept only while the dataset lives
+_SINGLE_DL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,9 @@ def _finish(
 ) -> BinningResult:
     dl = total_dl_exact(d, binning)
     single = Binning((d.T,))
-    single_dl = total_dl_exact(d, single)
+    if d not in _SINGLE_DL:
+        _SINGLE_DL[d] = total_dl_exact(d, single)
+    single_dl = _SINGLE_DL[d]
     ref = single_dl.decoupled_total
     if cap_at_single and dl.decoupled_total > ref:
         # The optimizer examined the single-cluster solution, so it must never

@@ -513,6 +513,28 @@ class TestExitCodes:
         assert "T=1.1e+301" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--T", str(2**53 + 1), f"T={2**53 + 1}"),
+        ("--T", str(2**63 - 1), f"T={2**63 - 1}"),  # used to overflow the int64 cast
+        ("--T", str(2**63), f"T={2**63}"),
+        ("--T", str(10**29), f"T={10**29}"),
+        ("--delta-t", "1e-12", "T=4.752e+18"),  # the sample days span 4,752,000 s
+    ])
+    def test_step_count_above_2_53_is_a_data_error(self, tmp_path, capsys, option, value, named):
+        events = tmp_path / "events.csv"
+        write_sparse_days_csv(events)
+        out = tmp_path / "out.json"
+        assert main(["bin", "--input", str(events), "--output", str(out), option, value]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_count_of_2_53_is_accepted(self, tmp_path):
+        events = tmp_path / "events.csv"
+        write_sparse_days_csv(events)
+        out = tmp_path / "out.json"
+        assert run("bin", "--input", events, "--output", out, "--T", 2**53) == 0
+        assert json.loads(out.read_text())["T"] == 2**53
+
     @pytest.mark.parametrize("option", ["--N", "--T", "--K", "--S", "--D"])
     def test_bad_synth_count_is_a_usage_error(self, tmp_path, option):
         counts = {"--N": "50", "--T": "20", "--K": "2", "--S": "3", "--D": "3", option: "0"}

@@ -258,16 +258,6 @@ class TestIntervalCostEngine:
             total_dl_exact(d, Binning((d.T,))).decoupled_total, abs=1e-6
         )
 
-    def test_state_records_its_occupied_rank_span(self):
-        eng = IntervalCostEngine(discretize(sample_events(), 12))  # step 6 is empty
-        state = eng.state_for_interval(3, 9)  # steps 3, 4, 5, 7, 8
-        assert (state.lo, state.hi) == (3, 8)
-        eng.add_occupied_step(state, 2)
-        eng.add_occupied_step(state, 8)
-        assert (state.lo, state.hi) == (2, 9)
-        with pytest.raises(ValueError):
-            eng.add_occupied_step(state, 0)
-
 
 @st.composite
 def unit_grid_events(draw):
@@ -353,16 +343,9 @@ class TestEngineProperties:
             cost, m = eng.range_costs(starts[:p1], z)
             assert len(cost) == len(m) == p1
             for p0, a in enumerate(starts[:p1]):
-                # bit for bit with the steps added downward, as range_costs
-                # adds them; state_for_interval adds them upward, so its
-                # lgamma sums can round differently in the last bits
-                state = MarginState()
-                for p in range(p1 - 1, p0 - 1, -1):
-                    eng.add_occupied_step(state, p)
+                # bit for bit: both fill the range in the same order
+                state = eng.state_for_interval(a, z)
                 assert (cost[p0], m[p0]) == (eng.interval_cost(a, z, state), state.m)
-                upward = eng.state_for_interval(a, z)
-                assert m[p0] == upward.m
-                assert abs(cost[p0] - eng.interval_cost(a, z, upward)) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events(), data=st.data())
@@ -377,7 +360,6 @@ class TestEngineProperties:
         assert (got.m, got.sum_d2) == (want.m, want.sum_d2)
         assert (got.s_cnt, got.d_cnt, got.g_cnt) == (want.s_cnt, want.d_cnt, want.g_cnt)
         assert (got.s_hist, got.g_hist) == (want.s_hist, want.g_hist)
-        assert (got.lo, got.hi) == (want.lo, want.hi)
         for name in ("lg_s1", "lg_d1", "lg_g1"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9, name
         # add_counts (left, right, want) and merged (got) keep the histograms

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +28,7 @@ from hyperbin import (
     solve_dp,
     solve_greedy,
 )
+from hyperbin import optimize
 from hyperbin.encoding import MarginState
 from hyperbin.optimize import _dp_table
 
@@ -451,3 +455,25 @@ class TestBaselines:
                 except (ValueError, EmptyClusterError):
                     continue
                 assert best.eta <= res.eta + 1e-12
+
+
+class TestSingleClusterReference:
+    def test_computed_once_per_dataset_and_dropped_with_it(self, monkeypatch):
+        d = discretize_on_grid(burst_pair_events(), 100, 0.0, 1.0)
+        real, single_calls = optimize.total_dl_exact, []
+
+        def counting(d_, b):
+            if b.widths == (d_.T,):
+                single_calls.append(b)
+            return real(d_, b)
+
+        monkeypatch.setattr(optimize, "total_dl_exact", counting)
+        greedy = solve_greedy(d)
+        assert greedy.K > 1  # so no result is the K=1 binning itself
+        baseline_uniform_duration(d, 2)
+        baseline_uniform_count(d, 2)
+        assert len(single_calls) == 1
+        n_kept, dataset = len(optimize._SINGLE_DL), weakref.ref(d)
+        del d
+        gc.collect()
+        assert dataset() is None and len(optimize._SINGLE_DL) == n_kept - 1
