@@ -228,14 +228,8 @@ def cmd_sweep(args: argparse.Namespace) -> Path:
         (N, T, K, gamma, rep, args.S, args.D, int(seed), methods)
         for (N, T, K, gamma, rep), seed in zip(combos, seeds)
     ]
-    rows: list[tuple] = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(_sweep_task, tasks):
-                rows.extend(chunk)
-    else:
-        for task in tasks:
-            rows.extend(_sweep_task(task))
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        rows = [row for chunk in pool.map(_sweep_task, tasks) for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
     out = Path(args.output)
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -418,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
     p_bin.add_argument("--K", type=_positive_int, default=None, help="cluster count for the baselines")
     p_bin.add_argument("--baselines", action="store_true")
+    p_bin.set_defaults(run=cmd_bin)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--output", required=True)
@@ -428,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--D", type=_positive_int, default=5)
     p_synth.add_argument("--gamma", type=_positive_float, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.set_defaults(run=cmd_synth)
 
     p_sweep = sub.add_parser("sweep", help="run a reconstruction sweep grid")
     p_sweep.add_argument("--output", required=True)
@@ -441,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--method", choices=["exact", "greedy", "both"], default="both")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=_positive_int, default=min(8, os.cpu_count() or 1))
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_metrics = sub.add_parser("metrics", help="evaluate stored binning results")
     p_metrics.add_argument("results", nargs="+", help="binning result JSON files")
@@ -448,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--output", required=True)
     p_metrics.add_argument("--samples", type=_positive_int, default=100)
     p_metrics.add_argument("--seed", type=int, default=0)
+    p_metrics.set_defaults(run=cmd_metrics)
 
     return parser
 
@@ -456,14 +454,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bin":
-            cmd_bin(args)
-        elif args.command == "synth":
-            cmd_synth(args)
-        elif args.command == "sweep":
-            cmd_sweep(args)
-        elif args.command == "metrics":
-            cmd_metrics(args)
+        args.run(args)
     except (ValueError, OSError) as exc:
         print(f"hyperbin: error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 LN2 = math.log(2.0)
 
-# Exact matrix counting refuses instances beyond this envelope.
+# The envelope of exact matrix counting, and of synth's exact-uniform sampler.
 EXACT_MAX_TOTAL = 40
 EXACT_MAX_MIN_DIM = 6
 
@@ -63,10 +63,6 @@ class Margins:
             raise ValueError(
                 f"infeasible margins: row sum {sum(rows)} != col sum {sum(cols)}"
             )
-
-    @property
-    def total(self) -> int:
-        return sum(self.rows)
 
 
 def count_margin_matrices(rows: Sequence[int], cols: Sequence[int]) -> int:

@@ -180,13 +180,6 @@ class DiscretizedEvents:
     occupied_steps: np.ndarray
     step_counts: np.ndarray
 
-    def representative(self, step: int) -> float:
-        return self.origin + (step + 0.5) * self.delta_t
-
-    @property
-    def N(self) -> int:
-        return self.base.N
-
     @property
     def events_in_step(self) -> np.ndarray:
         """Dense per-step event counts, a length-T array built on demand."""

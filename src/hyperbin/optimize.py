@@ -40,6 +40,10 @@ Method = Literal[
 
 BRUTEFORCE_MAX_T = 14
 
+# two costs within this many bits are a tie, settled by a rule rather than by
+# float rounding (criterion 1's tolerance)
+TIE_BITS = 1e-9
+
 # each dataset's single-cluster DL, kept only while the dataset lives
 _SINGLE_DL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -106,7 +110,12 @@ def _dp_table(eng: IntervalCostEngine) -> tuple[dict[int, float], dict[int, int]
 
     Each row of ends scores its ranges at their tightest widths in one
     range_costs call, P(P+1)/2 ranges in all; other gap-end widths differ only
-    in width_bits, added in a numpy min-plus. Ties pick the smallest start.
+    in width_bits, added in a numpy min-plus. Ties pick the smallest start:
+    a gap's right end stays a candidate only when it is more than TIE_BITS
+    below its left end, so a tied gap joins the later cluster whatever the
+    rounding, and exact ties among the rest go to the first minimum. Past
+    a DL of about 4.5e6 bits (TIE_BITS over the float64 epsilon) rounding
+    alone can exceed TIE_BITS, and the rule no longer sees every tie.
     """
     occ, P = eng.occupied, len(eng.occupied)
     # candidate cuts before each occupied rank (one when its gap is empty)
@@ -115,6 +124,7 @@ def _dp_table(eng: IntervalCostEngine) -> tuple[dict[int, float], dict[int, int]
     bounds = np.searchsorted(rank, np.arange(P + 2)).tolist()  # rank p: [bounds[p], bounds[p + 1])
     tight = [0] + occ[1:]  # tightest start of each rank: its first event step
     tight_np = np.array(tight)
+    right_ends = np.flatnonzero(rank[1:] == rank[:-1]) + 1  # each gap's right end
     best, parent = np.zeros(len(pos)), np.zeros(len(pos), dtype=np.int64)
     for p1 in range(1, P + 1):
         n, n1 = bounds[p1], bounds[p1 + 1]  # row p1's ends
@@ -123,6 +133,8 @@ def _dp_table(eng: IntervalCostEngine) -> tuple[dict[int, float], dict[int, int]
         w = eng.width_bits(m, z - tight_np[:p1])
         r, s = rank[:n], pos[:n]
         v = best[:n] + (c[r] + (eng.width_bits(m[r], pos[n:n1, None] - s) - w[r]))
+        g = right_ends[right_ends < n]
+        v[:, g] = np.where(v[:, g] < v[:, g - 1] - TIE_BITS, v[:, g], INF)
         # argmin takes the first minimum: the smallest start
         best[n:n1], parent[n:n1] = v.min(axis=1), s[v.argmin(axis=1)]
     return dict(zip(pos.tolist(), best.tolist())), dict(zip(pos.tolist(), parent.tolist()))
@@ -155,7 +167,9 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     Eventless timesteps are pre-attached to the nearest event-bearing step
     on their right (trailing ones to the last cluster) so every scored
     cluster holds at least one event. Merges continue even when the best
-    change is an increase; the minimum over all recorded states wins.
+    change is an increase. The configuration with the lowest search-time
+    total wins; a later one within TIE_BITS of the lowest total seen so far
+    replaces it, so a tie keeps the fewer clusters.
     Pair changes live in a flat array scanned for its first minimum, so
     equal changes merge the leftmost pair; after a merge only the two pair
     changes touching the new cluster are recomputed, and their merged states
@@ -201,8 +215,8 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
             if 0 <= j < len(starts) - 1:
                 rescored[j] = merge(j)
                 deltas[j] = rescored[j][1] - costs[j] - costs[j + 1]
-        if total < best_total:
-            best_total, n_best = total, len(merge_log)
+        if total <= best_total + TIE_BITS:  # a tie keeps the fewer clusters
+            best_total, n_best = min(best_total, total), len(merge_log)
 
     merged_away = set(merge_log[:n_best])
     bounds = [a for a in initial_starts if a not in merged_away] + [T]

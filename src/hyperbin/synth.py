@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _column_fills, _count_tables
+from .combinatorics import EXACT_MAX_MIN_DIM, EXACT_MAX_TOTAL, _column_fills, _count_tables
 from .events import Binning, DiscretizedEvents, EventPartition, EventSet, discretize_on_grid
 
 
@@ -216,10 +216,11 @@ def sample_contingency_table(rows, cols, rng) -> np.ndarray:
     """Random non-negative integer matrix with the given margins.
 
     Small or thin instances (a margin with at most two nonzero entries, or
-    total <= 40 with a nonzero dimension <= 6) are drawn exactly uniformly
-    over all matrices with those margins, by conditional column filling with
-    exact completion counts. Larger instances fall back to sequential
-    hypergeometric filling (the conditional-independence table law).
+    total <= EXACT_MAX_TOTAL with a nonzero dimension <= EXACT_MAX_MIN_DIM)
+    are drawn exactly uniformly over all matrices with those margins, by
+    conditional column filling with exact completion counts. Larger
+    instances fall back to sequential hypergeometric filling (the
+    conditional-independence table law).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -251,7 +252,7 @@ def sample_contingency_table(rows, cols, rng) -> np.ndarray:
     elif C == 2 and R <= _TWO_LINE_MAX_DIM:
         y = _sample_uniform_two_line(c[0], r, rng)
         sub = np.asarray([y, [rv - yv for rv, yv in zip(r, y)]], dtype=np.int64).T
-    elif total <= 40 and min(R, C) <= 6:
+    elif total <= EXACT_MAX_TOTAL and min(R, C) <= EXACT_MAX_MIN_DIM:
         if R <= C:
             sub = np.asarray(_sample_uniform_small(r, c, rng), dtype=np.int64)
         else:

@@ -15,6 +15,7 @@ from hyperbin import (
     parse_events,
 )
 from hyperbin.encoding import MarginState
+from hyperbin.optimize import TIE_BITS
 
 # 10 events over 4 sources and 3 destinations, placed on a 12-step grid so
 # that the first 6 events land in steps 0-5 and the last 4 in steps 7-11.
@@ -75,12 +76,13 @@ def reference_greedy(d) -> tuple[tuple[int, ...], float]:
 
 def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
     """Naive agglomerative greedy: the widths and the search-time cost of the
-    best configuration seen, and the index of the pair each round merged.
+    chosen configuration, and the index of the pair each round merged.
 
     Starts from one cluster per event-bearing step (eventless steps attached
     to the step on their right, trailing ones to the last cluster). Each round
     rescores every adjacent pair from scratch and merges the leftmost pair
-    with the smallest change, down to one cluster.
+    with the smallest change, down to one cluster. The chosen configuration
+    is the last one within TIE_BITS of the lowest total seen before it.
     """
     eng = IntervalCostEngine(d)
     bounds = [0] + [e + 1 for e in eng.occupied[:-1]] + [d.T]
@@ -88,7 +90,7 @@ def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
     def cost(a, z):
         return eng.interval_cost(a, z, eng.state_for_interval(a, z))
 
-    total = sum(cost(a, z) for a, z in zip(bounds, bounds[1:]))
+    total = lowest = sum(cost(a, z) for a, z in zip(bounds, bounds[1:]))
     best = (total, list(bounds))
     merges = []
     while len(bounds) > 2:
@@ -100,7 +102,8 @@ def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
         merges.append(k)
         total += deltas[k]
         del bounds[k + 1]
-        if total < best[0]:
+        if total <= lowest + TIE_BITS:
+            lowest = min(lowest, total)
             best = (total, list(bounds))
     total, bounds = best
     return tuple(z - a for a, z in zip(bounds, bounds[1:])), total, merges
@@ -111,7 +114,9 @@ def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
     parent[j] for every candidate cut j (0, T and both ends of every
     eventless gap), scoring each range of occupied steps once at its
     tightest width and every (start, end) pair with a scalar width_bits.
-    Starts are scanned downward and ties taken, so the smallest start wins.
+    A gap's right end is dropped unless it beats its left end by more than
+    TIE_BITS; starts are then scanned downward and ties taken, so the
+    smallest start wins.
     """
     occ = eng.occupied
     cuts = [(0,)] + [(a + 1, z) if a + 1 < z else (z,) for a, z in zip(occ, occ[1:])]
@@ -126,16 +131,17 @@ def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
         arg = [0] * len(ends)
         state = MarginState()
         for p0 in range(p1 - 1, -1, -1):
-            eng.add_occupied_step(state, p0)
+            state.add_counts(*eng.step_pairs[p0], eng.lgt)
             starts = cuts[p0]
             a = starts[-1]
             c = eng.interval_cost(a, z, state)
             m = state.m
             w = width(m, z - a)
-            for s in reversed(starts):
-                prefix = best[s]
-                for k, e in enumerate(ends):
-                    v = prefix + (c + (width(m, e - s) - w))
+            for k, e in enumerate(ends):
+                vals = [best[s] + (c + (width(m, e - s) - w)) for s in starts]
+                if len(vals) == 2 and not vals[1] < vals[0] - TIE_BITS:
+                    vals[1] = math.inf
+                for s, v in reversed(list(zip(starts, vals))):
                     if v <= row[k]:
                         row[k] = v
                         arg[k] = s

@@ -34,6 +34,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def write_sparse_days_csv(path, seed=0):
     """500 events on 12 distinct days, 5 days apart, over 20 x 20 labels."""
     rng = np.random.default_rng(seed)
@@ -51,7 +56,7 @@ class TestSynthCommand:
         out = tmp_path / "events.csv"
         assert run("synth", "--output", out, "--N", 200, "--T", 50, "--K", 2,
                    "--gamma", "0.001", "--seed", 3) == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_rows(out)
         assert rows[0] == ["source", "destination", "timestamp"]
         assert len(rows) == 201
         planted = json.loads((tmp_path / "events.planted.json").read_text())
@@ -109,7 +114,7 @@ class TestBinCommand:
         write_sample_csv(events)
         out = tmp_path / "result.json"
         run("bin", "--input", events, "--output", out, "--T", 12, "--method", "exact")
-        rows = list(csv.reader(open(tmp_path / "result.series.csv")))
+        rows = read_rows(tmp_path / "result.series.csv")
         assert rows[0] == ["step_start", "step_end", "t_min", "t_max", "events",
                            "exact_dp_boundary"]
         # steps 0-5 and 7-11 hold events, step 6 is an eventless run
@@ -124,7 +129,7 @@ class TestBinCommand:
         write_sample_csv(events)
         out = tmp_path / "result.json"
         run("bin", "--input", events, "--output", out, "--T", 1100, "--method", "exact")
-        rows = list(csv.reader(open(tmp_path / "result.series.csv")))[1:]
+        rows = read_rows(tmp_path / "result.series.csv")[1:]
         starts = [int(r[0]) for r in rows]
         assert starts[0] == 0 and int(rows[-1][1]) == 1100
         assert [int(r[1]) for r in rows[:-1]] == starts[1:]
@@ -138,7 +143,7 @@ class TestBinCommand:
         inside = SimpleNamespace(method="inside", binning_canonical=hyperbin.Binning((150, 950)))
         _write_series_csv(tmp_path / "s.csv", d, [inside])
         # step_start, step_end, events, inside_boundary
-        rows = [r[:2] + r[4:] for r in csv.reader(open(tmp_path / "s.csv", newline=""))]
+        rows = [r[:2] + r[4:] for r in read_rows(tmp_path / "s.csv")]
         assert rows[1:6] == [["0", "1", "1", "1"], ["1", "100", "0", "0"],
                              ["100", "101", "1", "0"], ["101", "150", "0", "0"],
                              ["150", "200", "0", "1"]]
@@ -157,7 +162,7 @@ class TestBinCommand:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "series.csv"
             _write_series_csv(path, d, results)
-            rows = list(csv.reader(open(path, newline="")))
+            rows = read_rows(path)
         assert rows[0] == ["step_start", "step_end", "t_min", "t_max", "events"] + [
             f"{res.method}_boundary" for res in results
         ]
@@ -254,7 +259,7 @@ class TestFineGrids:
         doc = json.loads(out.read_text())
         assert doc["T"] == 10**9
         assert [r["method"] for r in doc["results"]] == ["exact_dp", "greedy"]
-        series = list(csv.reader(open(tmp_path / "result.series.csv", newline="")))
+        series = read_rows(tmp_path / "result.series.csv")
         assert len(series) < 100 and int(series[-1][1]) == 10**9
 
 
@@ -409,8 +414,8 @@ class TestSweepCommand:
             assert run("sweep", "--output", out, "--N", "120", "--T", "30",
                        "--K", "2,3", "--gamma", "0.001,1.0", "--reps", 2,
                        "--jobs", jobs, "--seed", 5) == 0
-        rows_a = list(csv.reader(open(a)))
-        rows_b = list(csv.reader(open(b)))
+        rows_a = read_rows(a)
+        rows_b = read_rows(b)
         assert rows_a[0] == ["N", "T", "K", "gamma", "rep", "method", "eta",
                             "ccami", "runtime_seconds"]
         assert len(rows_a) == 1 + 2 * 2 * 2 * 2  # grid x reps x methods
@@ -421,7 +426,7 @@ class TestSweepCommand:
         out = tmp_path / "s.csv"
         assert run("sweep", "--output", out, "--N", "100", "--T", "25", "--K", "2",
                    "--gamma", "0.01", "--reps", 1, "--jobs", 1, "--method", "exact") == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_rows(out)
         assert len(rows) == 2
         eta = float(rows[1][6])
         assert 0 < eta <= 1.0
@@ -430,7 +435,7 @@ class TestSweepCommand:
         out = tmp_path / "s.csv"
         assert run("sweep", "--output", out, "--N", "400", "--T", "200", "--K", "4",
                    "--gamma", "0.001", "--reps", 4, "--jobs", 1) == 0
-        rows = list(csv.reader(open(out)))[1:]
+        rows = read_rows(out)[1:]
         runtimes = {"exact_dp": [], "greedy": []}
         for r in rows:
             assert float(r[8]) > 0

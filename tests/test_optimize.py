@@ -27,6 +27,7 @@ from hyperbin import (
     solve_bruteforce,
     solve_dp,
     solve_greedy,
+    total_dl_exact,
 )
 from hyperbin import optimize
 from hyperbin.encoding import MarginState
@@ -38,6 +39,20 @@ def two_cluster_grid(gap, left, right):
     eventless steps between them."""
     ev = parse_events([("a", "x", 0.5)] * left + [("b", "y", gap + 1.5)] * right)
     return discretize_on_grid(ev, gap + 2, 0.0, 1.0)
+
+
+def gap_tie_grid():
+    """Two clusters of 6 events, each on 2 adjacent steps, either side of a
+    5-step eventless gap on a 9-step grid. Their shapes match up to label
+    names, so the cut costs the same at either end of the gap in exact
+    arithmetic, while width_bits rounds the two placements apart."""
+    rows = (
+        [("s01", "d00", 0.5), ("s00", "d00", 0.5), ("s00", "d00", 1.5)]
+        + [("s01", "d01", 1.5)] * 3
+        + [("s11", "d10", 7.5), ("s11", "d11", 7.5), ("s10", "d11", 7.5)]
+        + [("s10", "d10", 7.5), ("s11", "d11", 8.5), ("s10", "d11", 8.5)]
+    )
+    return discretize_on_grid(parse_events(rows), 9, 0.0, 1.0)
 
 
 def burst_pair_events(n_per_burst=100, t_hi=100.0):
@@ -175,6 +190,14 @@ class TestSolveDp:
         assert solve_dp(d).binning.widths == expected
         assert _dp_table(IntervalCostEngine(d)) == reference_dp_table(IntervalCostEngine(d))
 
+    def test_a_tie_within_tie_bits_gives_the_gap_to_the_later_cluster(self):
+        # float rounding alone would cut at step 7, widths (7, 2)
+        d = gap_tie_grid()
+        res = solve_dp(d)
+        assert res.binning.widths == (2, 7)
+        tied = total_dl_exact(d, Binning((7, 2))).decoupled_total
+        assert abs(res.dl.decoupled_total - tied) <= optimize.TIE_BITS
+
     def test_interval_evaluations_do_not_grow_with_T(self, monkeypatch):
         from hyperbin.encoding import IntervalCostEngine
 
@@ -213,6 +236,7 @@ class TestDpProperties:
     @given(d=small_grids(max_T=60))
     @example(d=two_cluster_grid(2, 5, 5))  # an exact two-way tie
     @example(d=discretize_on_grid(parse_events([("a", "x", 2.5), ("b", "y", 5.5)]), 9, 0.0, 1.0))
+    @example(d=gap_tie_grid())  # a tie that float rounding breaks the other way
     def test_dp_table_equals_the_loop_oracle(self, d):
         # equal, not approximately: the min-plus adds the same floats in the
         # same order as the loop and breaks ties the same way
@@ -284,6 +308,8 @@ class TestSolveGreedy:
 
     @settings(max_examples=1000, deadline=None)
     @given(d=small_grids())
+    # (1, 2) and (3,) tie at log2(432) bits, 1 ulp apart once summed
+    @example(d=discretize_on_grid(parse_events([("a", "x", 0.5)] * 5 + [("a", "x", 1.5)] * 2), 3, 0.0, 1.0))
     def test_equals_reference_greedy(self, d):
         widths, dl = reference_greedy(d)
         res = solve_greedy(d)
