@@ -152,7 +152,9 @@ class MarginState:
         self.lg_g1 = 0.0  # ... over edge weights
 
     def add_counts(self, s_pairs, d_pairs, g_pairs, lgt) -> None:
-        """Add one timestep's events, pre-grouped into (value, count) pairs.
+        """Add one timestep's events, pre-grouped into (value, count) pairs:
+        any iterable of them, such as the items() view of a value -> count
+        dict, which is how the engine holds each occupied step.
 
         `lgt` is an integer lgamma lookup table covering counts up to the
         total event count.
@@ -193,6 +195,12 @@ class IntervalCostEngine:
     correction: the dynamic program scores each range once, at its tightest
     width, through range_costs. Past TABLE_STEPS nothing grows with T:
     set-up is O(N + P) for P occupied steps.
+
+    Per event the engine keeps only the integer lgamma table, a list of
+    floats and its numpy twin (about 40 bytes an event); the stage-2
+    multiset terms are computed from it on demand. Per occupied step it
+    keeps `step_pairs`: the step's source, destination and edge counts, each
+    as the items() view of a value -> count dict in ascending value order.
     """
 
     def __init__(self, d: DiscretizedEvents):
@@ -226,7 +234,7 @@ class IntervalCostEngine:
         # costs about four times the memory)
         self._step_rows: dict[int, np.ndarray] = {}
 
-        # per occupied step: events grouped into (value, count) pairs, so a
+        # per occupied step: events grouped into value -> count dicts, so a
         # state update costs O(distinct values), not O(events)
         rank = np.searchsorted(d.occupied_steps, d.step_of_event)
         ev_key = base.sources * base.D + base.dests
@@ -234,29 +242,21 @@ class IntervalCostEngine:
             self._group_by_rank(rank, field, P)
             for field in (base.sources, base.dests, ev_key)
         ]
-        self.step_pairs: list[tuple[list, list, list]] = list(zip(*grouped))
-
-        # stage-2 multiset terms as functions of m alone
-        self.msS = self._ms_table(self.S)
-        self.msD = self._ms_table(self.D)
+        self.step_pairs: list[tuple] = list(zip(*grouped))
 
     @staticmethod
-    def _group_by_rank(rank: np.ndarray, values: np.ndarray, n_occupied: int) -> list[list]:
-        # one (value, count) list per occupied step, in step order; `rank`
-        # holds each event's occupied-step rank
+    def _group_by_rank(rank: np.ndarray, values: np.ndarray, n_occupied: int) -> list:
+        # one view of (value, count) pairs per occupied step, in step order
+        # and ascending by value, held in a dict; `rank` holds each event's
+        # occupied-step rank
         width = int(values.max()) + 1 if len(values) else 1
         uniq, cnt = np.unique(rank * width + values, return_counts=True)
         vals, cnts = (uniq % width).tolist(), cnt.tolist()
         boundaries = np.searchsorted(uniq // width, np.arange(n_occupied + 1)).tolist()
         return [
-            list(zip(vals[b0:b1], cnts[b0:b1]))
+            dict(zip(vals[b0:b1], cnts[b0:b1])).items()
             for b0, b1 in zip(boundaries, boundaries[1:])
         ]
-
-    def _ms_table(self, y: int) -> list[float]:
-        lgt = self._lgt_np
-        ms = (lgt[y : y + self.N + 1] - lgt[y] - lgt[1 : self.N + 2]) / LN2
-        return ms.tolist()
 
     def state_for_interval(self, a: int, z: int) -> MarginState:
         """Margin state for the events of steps [a, z), filled downward from
@@ -332,10 +332,11 @@ class IntervalCostEngine:
         if m == 0:
             return INF
         lgt = self.lgt
+        S, D = self.S, self.D
         bits = (
             self.const
-            + self.msS[m]
-            + self.msD[m]
+            + (lgt[S + m] - lgt[S] - lgt[m + 1]) / LN2
+            + (lgt[D + m] - lgt[D] - lgt[m + 1]) / LN2
             + self.width_bits(m, z - a)
             - lgt[m + 1] / LN2
         )

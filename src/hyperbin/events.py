@@ -72,42 +72,50 @@ class EventSet:
 
 
 def _parse_timestamp(value, row: int) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    stamp = None
+    if isinstance(value, str) and ":" in value:
+        pass  # float() accepts no ':', so such text is ISO-8601 or bad
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         stamp = float(value)
     else:
-        text = str(value).strip()
-        stamp = None
-        if ":" not in text:  # float() accepts no ':', so such text is ISO-8601 or bad
-            try:
-                stamp = float(text)
-            except ValueError:
-                pass
-        if stamp is None:
-            try:
-                dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-            except ValueError:
-                raise EventDataError(f"row {row}: cannot parse timestamp {value!r}") from None
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)  # naive stamps read as UTC
-            stamp = dt.timestamp()
+        try:
+            stamp = float(str(value).strip())
+        except ValueError:
+            pass
+    if stamp is None:
+        try:
+            dt = datetime.fromisoformat(str(value).strip().replace("Z", "+00:00"))
+        except ValueError:
+            raise EventDataError(f"row {row}: cannot parse timestamp {value!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)  # naive stamps read as UTC
+        stamp = dt.timestamp()
     if not math.isfinite(stamp):
         raise EventDataError(f"row {row}: timestamp {value!r} is not finite")
     return stamp
 
 
-def _events_from_rows(rows: Iterable[tuple[int, Sequence]]) -> EventSet:
-    # the one ingest loop, over (row number, record) pairs
+def _events_from_rows(records: Iterable[Sequence], first_row: int, skip_blank: bool) -> EventSet:
+    # the one ingest loop; rows are numbered from `first_row`, and an empty
+    # record is skipped when `skip_blank` is set (a blank CSV line)
     src_ids: dict[str, int] = {}
     dst_ids: dict[str, int] = {}
     sources, dests, times = [], [], []
-    for row, rec in rows:
-        try:
-            s_label, d_label, t_raw = rec
-        except ValueError:
-            raise EventDataError(f"row {row}: expected 3 fields, got {rec!r}") from None
-        sources.append(src_ids.setdefault(str(s_label), len(src_ids)))
-        dests.append(dst_ids.setdefault(str(d_label), len(dst_ids)))
-        times.append(_parse_timestamp(t_raw, row))
+    add_source, add_dest, add_time = sources.append, dests.append, times.append
+    row = first_row - 1
+    try:
+        for row, rec in enumerate(records, first_row):
+            try:
+                s_label, d_label, t_raw = rec
+            except ValueError:
+                if skip_blank and not rec:
+                    continue
+                raise EventDataError(f"row {row}: expected 3 fields, got {rec!r}") from None
+            add_source(src_ids.setdefault(str(s_label), len(src_ids)))
+            add_dest(dst_ids.setdefault(str(d_label), len(dst_ids)))
+            add_time(_parse_timestamp(t_raw, row))
+    except csv.Error as exc:  # from a strict csv.reader, reading the next row
+        raise EventDataError(f"row {row + 1}: {exc}") from None
     if not times:
         raise EventDataError("no events in input")
     order = np.argsort(np.asarray(times), kind="stable")
@@ -123,12 +131,13 @@ def _events_from_rows(rows: Iterable[tuple[int, Sequence]]) -> EventSet:
 def parse_events(records: Iterable[tuple]) -> EventSet:
     """Build an EventSet from (source_label, dest_label, timestamp) records.
 
-    Labels are mapped to dense integer ids in first-appearance order;
-    timestamps may be finite numbers or ISO-8601 strings. Events are stably
-    sorted by time, so records sharing a timestamp keep their input order.
-    Duplicate (s, d, t) triples are allowed (multi-events).
+    Labels are mapped to dense integer ids in first-appearance order, after
+    str(), so 1 and "1" are one label; timestamps may be finite numbers (not
+    bools) or ISO-8601 strings. Events are stably sorted by time, so records
+    sharing a timestamp keep their input order. Duplicate (s, d, t) triples
+    are allowed (multi-events). Errors number the records from 1.
     """
-    return _events_from_rows(enumerate(records, start=1))
+    return _events_from_rows(records, 1, skip_blank=False)
 
 
 CSV_HEADER = ("source", "destination", "timestamp")
@@ -137,22 +146,29 @@ CSV_HEADER = ("source", "destination", "timestamp")
 def read_events_csv(path) -> EventSet:
     """Read events from a CSV file with header source,destination,timestamp.
 
-    The file is read as UTF-8; a leading byte-order mark and blank rows are
-    skipped. Errors name the file and the row, the header being row 1."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EventDataError(f"{path}: empty file") from None
-        if tuple(h.strip().lower() for h in header) != CSV_HEADER:
-            raise EventDataError(
-                f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
-            )
-        try:
-            return _events_from_rows((n, f) for n, f in enumerate(reader, start=2) if f)
-        except EventDataError as exc:
-            raise EventDataError(f"{path}: {exc}") from None
+    The file is read as UTF-8 with strict quoting; a leading byte-order mark
+    and blank rows are skipped. Errors, a byte that is not UTF-8 and a
+    malformed quote among them, name the file, and the row where known, the
+    header being row 1."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, strict=True)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EventDataError("empty file") from None
+            except csv.Error as exc:
+                raise EventDataError(f"row 1: {exc}") from None
+            if tuple(h.strip().lower() for h in header) != CSV_HEADER:
+                raise EventDataError(
+                    f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+                )
+            return _events_from_rows(reader, 2, skip_blank=True)
+    except EventDataError as exc:
+        raise EventDataError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
+        byte = exc.object[exc.start]
+        raise EventDataError(f"{path}: not UTF-8: byte {byte:#04x} ({exc.reason})") from None
 
 
 # the largest step count for which float64 holds every step index exactly, so

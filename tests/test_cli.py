@@ -475,6 +475,23 @@ class TestExitCodes:
         assert "row 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"source,destination,timestamp\nu,v,\"1\n",
+            b"\"source,destination,timestamp\nu,v,1\n",  # the header's quote
+            b"source,destination,timestamp\nu,\xff,1\n",
+        ],
+    )
+    def test_malformed_file_is_a_data_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        out = tmp_path / "out.json"
+        assert main(["bin", "--input", str(bad), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     def test_bad_T_is_a_usage_error(self, tmp_path, value):
         events = tmp_path / "events.csv"

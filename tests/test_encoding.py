@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -258,6 +259,30 @@ class TestIntervalCostEngine:
             total_dl_exact(d, Binning((d.T,))).decoupled_total, abs=1e-6
         )
 
+    def test_build_memory_per_event_is_the_lgamma_table(self):
+        # many events on few steps and labels: per event the engine keeps the
+        # integer lgamma table only, a list (32 B an entry) and its numpy twin
+        # (8 B); one more N-length list of floats would add 32 B an event
+        n = 200_000
+        rng = np.random.default_rng(5)
+        ev = EventSet(
+            sources=rng.integers(0, 3, n),
+            dests=rng.integers(0, 3, n),
+            times=np.sort(rng.integers(0, 4, n)).astype(float),
+            source_labels=("a", "b", "c"),
+            dest_labels=("x", "y", "z"),
+        )
+        d = discretize_on_grid(ev, 4, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eng = IntervalCostEngine(d)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(eng.lgt) > n
+        assert kept / n < 64
+
 
 @st.composite
 def unit_grid_events(draw):
@@ -315,7 +340,7 @@ class TestEngineProperties:
             sorted(Counter(v for r, v in zip(rank, values) if r == p).items())
             for p in range(n_occupied)
         ]
-        assert got == want
+        assert [list(pairs) for pairs in got] == want  # the same pairs, ascending
         assert all(type(x) is int for pairs in got for pair in pairs for x in pair)
 
     @settings(max_examples=60, deadline=None)

@@ -84,6 +84,30 @@ class TestParseEvents:
         assert ev.source_labels == ("b", "a")
         assert ev.dest_labels == ("y", "x")
 
+    def test_labels_go_through_str(self):
+        ev = parse_events([(1, 2, 1.0), ("1", "2", 2.0), (3, 2.0, 3.0)])
+        assert ev.source_labels == ("1", "3")
+        assert ev.dest_labels == ("2", "2.0")
+        assert ev.sources.tolist() == [0, 0, 1]
+        assert ev.dests.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("stamp", [True, False])
+    def test_bool_timestamp_is_rejected(self, stamp):
+        with pytest.raises(EventDataError, match="row 2: cannot parse timestamp"):
+            parse_events([("a", "x", 1.0), ("b", "y", stamp)])
+
+    def test_whitespace_padded_iso_stamp(self):
+        ev = parse_events([("a", "x", " 2020-01-01T00:00:00Z\t"), ("b", "y", " 2020-01-02 ")])
+        assert ev.times.tolist() == [1_577_836_800.0, 1_577_923_200.0]
+
+    def test_rows_are_numbered_from_one(self):
+        with pytest.raises(EventDataError, match="^row 1: expected 3 fields"):
+            parse_events([("a", "x")])
+        with pytest.raises(EventDataError, match="^row 1: expected 3 fields"):
+            parse_events([()])  # an empty record is no blank line to skip
+        with pytest.raises(EventDataError, match="^row 1: cannot parse"):
+            parse_events([("a", "x", "soon"), ("b", "y", 1.0)])
+
 
 def _outcome(parse, text):
     try:
@@ -388,6 +412,34 @@ class TestCsvReader:
             "source,destination,timestamp\nu,v,1.0\n\nu,v\n", encoding="utf-8"
         )
         with pytest.raises(EventDataError, match=r"bad\.csv: row 4: expected 3 fields"):
+            read_events_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('u,v,1.0\nu,v,"2', "row 3: unexpected end of data"),  # unterminated at EOF
+            ('u,v,1.0\nu,"v"x,2\nu,v,3.0\n', "row 3: ',' expected after '\"'"),
+        ],
+    )
+    def test_malformed_quoting_reports_path_and_row(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("source,destination,timestamp\n" + body, encoding="utf-8")
+        with pytest.raises(EventDataError) as exc:
+            read_events_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_well_formed_quoting_is_read(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            'source,destination,timestamp\n"u,1","v ""2""",1.0\n', encoding="utf-8"
+        )
+        ev = read_events_csv(path)
+        assert (ev.source_labels, ev.dest_labels) == (("u,1",), ('v "2"',))
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"source,destination,timestamp\nu,v,1.0\nu,\xffv,2.0\n")
+        with pytest.raises(EventDataError, match=r"bad\.csv: not UTF-8: byte 0xff"):
             read_events_csv(path)
 
     def test_header_only_is_rejected(self, tmp_path):
