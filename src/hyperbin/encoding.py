@@ -125,18 +125,19 @@ def _add_weighted(cnt: dict, hist: dict, pairs, lgt, lg1: float) -> float:
 class MarginState:
     """Accumulating margins of one timestep interval (or cluster).
 
-    Events are only ever added, one timestep at a time. Keeps the per-source
-    / per-destination / per-edge count dictionaries, weight histograms of the
-    source and edge counts (count -> number of sources or edges holding it,
-    never with a zero key or a zero multiplicity), plus the running aggregate
-    sums the effective-columns terms need, updated in O(1) per distinct value
-    added. It holds no step range, and its sums round by the order steps go
-    in: the engine fills every range downward, `merged` in its own order.
+    Events are only ever added, a disjoint set of steps at a time. Keeps the
+    per-source / per-destination / per-edge count dictionaries, weight
+    histograms (count -> number of sources, edges or occupied steps holding
+    it, never with a zero key or a zero multiplicity) of the source, edge
+    and step counts, plus the running aggregate sums the effective-columns
+    terms need, updated in O(1) per distinct value added. It holds no step
+    range, and its sums round by the order steps go in: the engine fills
+    every range downward, `merged` in its own order.
     """
 
     __slots__ = (
-        "m", "s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist",
-        "sum_d2", "lg_s1", "lg_d1", "lg_g1",
+        "m", "s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist", "t_hist",
+        "sum_d2", "lg_s1", "lg_d1", "lg_g1", "n_steps", "sum_t2", "lg_t1",
     )
 
     def __init__(self):
@@ -146,40 +147,61 @@ class MarginState:
         self.g_cnt: dict[int, int] = {}
         self.s_hist: dict[int, int] = {}  # source count -> number of sources
         self.g_hist: dict[int, int] = {}  # edge weight -> number of edges
+        self.t_hist: dict[int, int] = {}  # step count -> number of occupied steps
         self.sum_d2 = 0  # sum of squared destination counts
         self.lg_s1 = 0.0  # sum of lgamma(count + 1) over sources
         self.lg_d1 = 0.0
         self.lg_g1 = 0.0  # ... over edge weights
+        self.n_steps = 0  # occupied steps
+        self.sum_t2 = 0  # sum of squared step counts
+        self.lg_t1 = 0.0  # sum of lgamma(count + 1) over occupied steps
 
-    def add_counts(self, s_pairs, d_pairs, g_pairs, lgt) -> None:
-        """Add one timestep's events, pre-grouped into (value, count) pairs:
-        any iterable of them, such as the items() view of a value -> count
-        dict, which is how the engine holds each occupied step.
+    @classmethod
+    def of_step(cls, s_cnt: dict, d_cnt: dict, g_cnt: dict, lgt) -> "MarginState":
+        """State of one occupied step, adopting its value -> count dicts; its
+        sums round as add_counts rounds them into an empty state."""
+        out = cls()
+        out.lg_s1 = _add_weighted({}, out.s_hist, s_cnt.items(), lgt, 0.0)
+        out.lg_d1 = _add_weighted({}, {}, d_cnt.items(), lgt, 0.0)
+        out.lg_g1 = _add_weighted({}, out.g_hist, g_cnt.items(), lgt, 0.0)
+        out.s_cnt, out.d_cnt, out.g_cnt = s_cnt, d_cnt, g_cnt
+        out.m = m = sum(d_cnt.values())
+        out.sum_d2 = sum(c * c for c in d_cnt.values())
+        out.t_hist, out.n_steps, out.sum_t2, out.lg_t1 = {m: 1}, 1, m * m, lgt[m + 1]
+        return out
 
-        `lgt` is an integer lgamma lookup table covering counts up to the
-        total event count.
-        """
-        self.lg_s1 = _add_weighted(self.s_cnt, self.s_hist, s_pairs, lgt, self.lg_s1)
+    def add_counts(self, other: "MarginState", lgt) -> None:
+        """Add the events of `other`, whose steps are disjoint from this
+        state's, such as one of the engine's single-step states; `other` is
+        left unchanged. `lgt` is an integer lgamma lookup table covering
+        counts up to the total event count."""
+        self.lg_s1 = _add_weighted(self.s_cnt, self.s_hist, other.s_cnt.items(), lgt, self.lg_s1)
         d_cnt = self.d_cnt
-        for t, c in d_pairs:  # every event has one destination
+        for t, c in other.d_cnt.items():  # every event has one destination
             c0 = d_cnt.get(t, 0)
             d_cnt[t] = c0 + c
             self.lg_d1 += lgt[c0 + c + 1] - lgt[c0 + 1]
             self.sum_d2 += (2 * c0 + c) * c
-            self.m += c
-        self.lg_g1 = _add_weighted(self.g_cnt, self.g_hist, g_pairs, lgt, self.lg_g1)
+        self.m += other.m
+        self.lg_g1 = _add_weighted(self.g_cnt, self.g_hist, other.g_cnt.items(), lgt, self.lg_g1)
+        # the steps are disjoint, so their time margins just add up
+        for c, n in other.t_hist.items():
+            self.t_hist[c] = self.t_hist.get(c, 0) + n
+        self.n_steps += other.n_steps
+        self.sum_t2 += other.sum_t2
+        self.lg_t1 += other.lg_t1
 
     @classmethod
     def merged(cls, a: "MarginState", b: "MarginState", lgt) -> "MarginState":
         """State of the union of two disjoint intervals: a copy of the larger
-        state with the smaller one's counts added."""
+        state with the smaller one's counts added. Neither input changes."""
         small, big = (a, b) if a.m <= b.m else (b, a)
         out = cls()
-        out.m, out.sum_d2 = big.m, big.sum_d2
-        out.lg_s1, out.lg_d1, out.lg_g1 = big.lg_s1, big.lg_d1, big.lg_g1
+        out.m, out.sum_d2, out.n_steps, out.sum_t2 = big.m, big.sum_d2, big.n_steps, big.sum_t2
+        out.lg_s1, out.lg_d1, out.lg_g1, out.lg_t1 = big.lg_s1, big.lg_d1, big.lg_g1, big.lg_t1
         out.s_cnt, out.d_cnt, out.g_cnt = dict(big.s_cnt), dict(big.d_cnt), dict(big.g_cnt)
-        out.s_hist, out.g_hist = dict(big.s_hist), dict(big.g_hist)
-        out.add_counts(small.s_cnt.items(), small.d_cnt.items(), small.g_cnt.items(), lgt)
+        out.s_hist, out.g_hist, out.t_hist = dict(big.s_hist), dict(big.g_hist), dict(big.t_hist)
+        out.add_counts(small, lgt)
         return out
 
 
@@ -187,20 +209,19 @@ class IntervalCostEngine:
     """Fast decoupled cluster costs over contiguous timestep intervals.
 
     Same objective as total_dl_exact(d, b).per_cluster, organized for the
-    optimizers: fixed per-timestep counts live in prefix tables over the
-    occupied steps so the time-margin side of the cost is O(1), and
-    source/destination/edge margins come from an incrementally maintained
-    MarginState. The width enters the cost only through `width_bits`, so the
-    cost of one range of occupied steps at any other width is an O(1)
-    correction: the dynamic program scores each range once, at its tightest
-    width, through range_costs. Past TABLE_STEPS nothing grows with T:
-    set-up is O(N + P) for P occupied steps.
+    optimizers: a MarginState holds every margin a cluster's cost needs,
+    its time margin included, so interval_cost prices a cluster from its
+    state and takes from [a, z) only the width. The width enters the cost
+    only through `width_bits`, so the cost of one range of occupied steps at
+    any other width is an O(1) correction: the dynamic program scores each
+    range once, at its tightest width, through range_costs. Past TABLE_STEPS
+    nothing grows with T: set-up is O(N + P) for P occupied steps.
 
     Per event the engine keeps only the integer lgamma table, a list of
     floats and its numpy twin (about 40 bytes an event); the stage-2
     multiset terms are computed from it on demand. Per occupied step it
-    keeps `step_pairs`: the step's source, destination and edge counts, each
-    as the items() view of a value -> count dict in ascending value order.
+    keeps `steps`: a single-step MarginState whose source, destination and
+    edge counts are value -> count dicts in ascending value order.
     """
 
     def __init__(self, d: DiscretizedEvents):
@@ -212,8 +233,6 @@ class IntervalCostEngine:
         self.const = decoupled_constant(self.N, self.T)
 
         self.occupied = d.occupied_steps.tolist()
-        self._step_counts = step_counts = d.step_counts
-        P = len(step_counts)
 
         # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments
         # reach a count (<= N) plus the number of sources, destinations or
@@ -225,46 +244,36 @@ class IntervalCostEngine:
         self.lgt = lgt_np.tolist()
         self._lgt_np = lgt_np
 
-        zero = np.zeros(1)
-        self.pref_lg1 = np.concatenate([zero, np.cumsum(lgt_np[step_counts + 1])]).tolist()
-        self.pref_sq = np.concatenate([zero, np.cumsum(step_counts * step_counts)]).tolist()
-
-        # nr -> prefix sums of lgamma(step count + nr) over occupied steps,
-        # built on first use by the edge x step term (numpy rows: a list row
-        # costs about four times the memory)
-        self._step_rows: dict[int, np.ndarray] = {}
-
         # per occupied step: events grouped into value -> count dicts, so a
         # state update costs O(distinct values), not O(events)
         rank = np.searchsorted(d.occupied_steps, d.step_of_event)
         ev_key = base.sources * base.D + base.dests
         grouped = [
-            self._group_by_rank(rank, field, P)
+            self._group_by_rank(rank, field, len(self.occupied))
             for field in (base.sources, base.dests, ev_key)
         ]
-        self.step_pairs: list[tuple] = list(zip(*grouped))
+        self.steps = [MarginState.of_step(*counts, self.lgt) for counts in zip(*grouped)]
 
     @staticmethod
     def _group_by_rank(rank: np.ndarray, values: np.ndarray, n_occupied: int) -> list:
-        # one view of (value, count) pairs per occupied step, in step order
-        # and ascending by value, held in a dict; `rank` holds each event's
-        # occupied-step rank
+        # one value -> count dict per occupied step, in step order and with
+        # ascending keys; `rank` holds each event's occupied-step rank
         width = int(values.max()) + 1 if len(values) else 1
         uniq, cnt = np.unique(rank * width + values, return_counts=True)
         vals, cnts = (uniq % width).tolist(), cnt.tolist()
         boundaries = np.searchsorted(uniq // width, np.arange(n_occupied + 1)).tolist()
         return [
-            dict(zip(vals[b0:b1], cnts[b0:b1])).items()
+            dict(zip(vals[b0:b1], cnts[b0:b1]))
             for b0, b1 in zip(boundaries, boundaries[1:])
         ]
 
     def state_for_interval(self, a: int, z: int) -> MarginState:
         """Margin state for the events of steps [a, z), filled downward from
-        `step_pairs` as range_costs fills it, so both price a range alike."""
+        `steps` as range_costs fills it, so both price a range alike."""
         state = MarginState()
         occ = self.occupied
         for p in range(bisect_left(occ, z) - 1, bisect_left(occ, a) - 1, -1):
-            state.add_counts(*self.step_pairs[p], self.lgt)
+            state.add_counts(self.steps[p], self.lgt)
         return state
 
     def range_costs(self, starts: list[int], z: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +282,7 @@ class IntervalCostEngine:
         grows down from the last rank, with one interval_cost call per range."""
         state, costs, counts = MarginState(), [], []
         for p0 in range(len(starts) - 1, -1, -1):
-            state.add_counts(*self.step_pairs[p0], self.lgt)
+            state.add_counts(self.steps[p0], self.lgt)
             costs.append(self.interval_cost(starts[p0], z, state))
             counts.append(state.m)
         return np.array(costs[::-1]), np.array(counts[::-1])
@@ -320,13 +329,13 @@ class IntervalCostEngine:
         """Decoupled cost of the cluster covering steps [a, z).
 
         `state` must hold the margins of exactly those steps' events, filled
-        downward from `step_pairs` as range_costs and state_for_interval fill
-        it (merged's other order can move the cost by a few ulps); the
-        occupied ranks come from [a, z) itself. Returns +inf for eventless
-        intervals (inadmissible clusters). Both effective-columns terms go
-        through `_ec`, with the rows given as the state's weight histogram;
-        the edge x step term's sum of lgamma(step count + nr) is one lookup
-        in the step row of nr, which is built on first use.
+        downward from `steps` as range_costs and state_for_interval fill it
+        (merged's other order can move the cost by a few ulps); every margin,
+        the time margin too, comes from the state, and [a, z) gives only the
+        width. Returns +inf for eventless intervals (inadmissible clusters).
+        Both effective-columns terms go through `_ec`, with the rows given as
+        the state's weight histogram; the edge x step term's sum of
+        lgamma(step count + nr) is a loop over the step-count histogram.
         """
         m = state.m
         if m == 0:
@@ -349,18 +358,13 @@ class IntervalCostEngine:
             m, nr, len(state.d_cnt), state.s_hist.items(),
             state.lg_s1, state.lg_d1, state.sum_d2, lg_shift,
         )
-        # edges x occupied steps; the step margins come from the prefix
-        # tables, Σ lgamma(step count + nr) from the step row of nr
-        p0, p1 = bisect_left(self.occupied, a), bisect_left(self.occupied, z)
+        # edges x occupied steps
         nr = len(state.g_cnt)
-        row = self._step_rows.get(nr)
-        if row is None:
-            row = self._step_rows[nr] = np.concatenate(
-                [[0.0], np.cumsum(self._lgt_np[self._step_counts + nr])]
-            )
+        lg_shift = 0.0
+        for c, n in state.t_hist.items():
+            lg_shift += n * lgt[c + nr]
         bits += self._ec(
-            m, nr, p1 - p0, state.g_hist.items(), state.lg_g1,
-            self.pref_lg1[p1] - self.pref_lg1[p0], self.pref_sq[p1] - self.pref_sq[p0],
-            float(row[p1] - row[p0]),
+            m, nr, state.n_steps, state.g_hist.items(),
+            state.lg_g1, state.lg_t1, state.sum_t2, lg_shift,
         )
         return bits

@@ -149,8 +149,7 @@ def solve_dp(d: DiscretizedEvents) -> BinningResult:
     timesteps, whatever the step count T.
     """
     t0 = time.perf_counter()
-    eng = IntervalCostEngine(d)
-    _, parent = _dp_table(eng)
+    _, parent = _dp_table(IntervalCostEngine(d))  # the engine goes before _finish
     bounds = [d.T]
     while bounds[-1] > 0:
         bounds.append(parent[bounds[-1]])
@@ -170,22 +169,27 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
     change is an increase. The configuration with the lowest search-time
     total wins; a later one within TIE_BITS of the lowest total seen so far
     replaces it, so a tie keeps the fewer clusters.
-    Pair changes live in a flat array scanned for its first minimum, so
-    equal changes merge the leftmost pair; after a merge only the two pair
-    changes touching the new cluster are recomputed, and their merged states
-    are kept in case the next merge picks one of them. Each merge logs the
-    start it removes, and the best configuration is rebuilt once at the end.
     """
     t0 = time.perf_counter()
-    eng = IntervalCostEngine(d)
-    T = d.T
+    widths = _greedy_widths(IntervalCostEngine(d))  # the search states go before _finish
+    return _finish(d, Binning(widths), "greedy", time.perf_counter() - t0, cap_at_single=True)
+
+
+def _greedy_widths(eng: IntervalCostEngine) -> tuple[int, ...]:
+    """The widths solve_greedy picks. The search starts from the engine's
+    single-step states, which `MarginState.merged` never changes. Pair
+    changes live in a flat array scanned for its first minimum, so equal
+    changes merge the leftmost pair; after a merge only the two pair changes
+    touching the new cluster are recomputed, and their merged states are
+    kept in case the next merge picks one of them. Each merge logs the start
+    it removes, and the best configuration is rebuilt once at the end.
+    """
+    T = eng.T
     # cluster k covers steps [starts[k], starts[k + 1]), the last one up to T
     starts = [0] + [e + 1 for e in eng.occupied[:-1]]
     initial_starts = list(starts)
-    states, costs = [], []
-    for a, z in zip(starts, starts[1:] + [T]):
-        states.append(eng.state_for_interval(a, z))
-        costs.append(eng.interval_cost(a, z, states[-1]))
+    states = list(eng.steps)
+    costs = [eng.interval_cost(a, z, st) for a, z, st in zip(starts, starts[1:] + [T], states)]
 
     def merge(k: int) -> tuple[MarginState, float]:
         """State and cost of clusters k and k + 1 as one cluster."""
@@ -210,7 +214,8 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
         states[k], costs[k] = state, cost
         del states[k + 1], costs[k + 1]
         merge_log.append(starts.pop(k + 1))
-        deltas = np.delete(deltas, k)
+        deltas[k:-1] = deltas[k + 1:]  # drop entry k in place
+        deltas = deltas[:-1]
         for j in (k - 1, k):
             if 0 <= j < len(starts) - 1:
                 rescored[j] = merge(j)
@@ -220,8 +225,7 @@ def solve_greedy(d: DiscretizedEvents) -> BinningResult:
 
     merged_away = set(merge_log[:n_best])
     bounds = [a for a in initial_starts if a not in merged_away] + [T]
-    widths = tuple(z - a for a, z in zip(bounds, bounds[1:]))
-    return _finish(d, Binning(widths), "greedy", time.perf_counter() - t0, cap_at_single=True)
+    return tuple(z - a for a, z in zip(bounds, bounds[1:]))
 
 
 def solve_bruteforce(d: DiscretizedEvents) -> BinningResult:

@@ -131,7 +131,7 @@ def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
         arg = [0] * len(ends)
         state = MarginState()
         for p0 in range(p1 - 1, -1, -1):
-            state.add_counts(*eng.step_pairs[p0], eng.lgt)
+            state.add_counts(eng.steps[p0], eng.lgt)
             starts = cuts[p0]
             a = starts[-1]
             c = eng.interval_cost(a, z, state)

@@ -284,6 +284,12 @@ class TestIntervalCostEngine:
         assert kept / n < 64
 
 
+def _snapshot(state: MarginState) -> dict:
+    """Every field of a state, its dicts copied."""
+    fields = {f: getattr(state, f) for f in MarginState.__slots__}
+    return {f: dict(v) if isinstance(v, dict) else v for f, v in fields.items()}
+
+
 @st.composite
 def unit_grid_events(draw):
     """Events on a grid of unit steps. Besides mixed data, two shapes force
@@ -340,8 +346,8 @@ class TestEngineProperties:
             sorted(Counter(v for r, v in zip(rank, values) if r == p).items())
             for p in range(n_occupied)
         ]
-        assert [list(pairs) for pairs in got] == want  # the same pairs, ascending
-        assert all(type(x) is int for pairs in got for pair in pairs for x in pair)
+        assert [list(cnt.items()) for cnt in got] == want  # the same pairs, ascending
+        assert all(type(x) is int for cnt in got for pair in cnt.items() for x in pair)
 
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events())
@@ -360,6 +366,7 @@ class TestEngineProperties:
     @given(d=unit_grid_events(), data=st.data())
     def test_range_costs_equal_interval_cost_per_range(self, d, data):
         eng = IntervalCostEngine(d)
+        built = [_snapshot(step) for step in eng.steps]
         occ = eng.occupied
         # any start in the gap before each occupied rank, any end after the last
         starts = [data.draw(st.integers(p and occ[p - 1] + 1, a)) for p, a in enumerate(occ)]
@@ -371,26 +378,40 @@ class TestEngineProperties:
                 # bit for bit: both fill the range in the same order
                 state = eng.state_for_interval(a, z)
                 assert (cost[p0], m[p0]) == (eng.interval_cost(a, z, state), state.m)
+        # every range grows a state from the steps without changing them
+        assert [_snapshot(step) for step in eng.steps] == built
 
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events(), data=st.data())
     def test_merged_equals_add_counts_over_both_intervals(self, d, data):
         a, c, z = sorted(data.draw(st.lists(st.integers(0, d.T), min_size=3, max_size=3)))
         eng = IntervalCostEngine(d)
+        built = [_snapshot(step) for step in eng.steps]
         left, right = eng.state_for_interval(a, c), eng.state_for_interval(c, z)
-        fields = ("s_cnt", "d_cnt", "g_cnt", "s_hist", "g_hist")
-        before = [[dict(getattr(x, f)) for f in fields] for x in (left, right)]
+        before = [_snapshot(x) for x in (left, right)]
         got = MarginState.merged(left, right, eng.lgt)
         want = eng.state_for_interval(a, z)
-        assert (got.m, got.sum_d2) == (want.m, want.sum_d2)
-        assert (got.s_cnt, got.d_cnt, got.g_cnt) == (want.s_cnt, want.d_cnt, want.g_cnt)
-        assert (got.s_hist, got.g_hist) == (want.s_hist, want.g_hist)
-        for name in ("lg_s1", "lg_d1", "lg_g1"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9, name
-        # add_counts (left, right, want) and merged (got) keep the histograms
-        # equal to the count dicts' value counts, with no zero entries
-        for state in (left, right, got, want):
+        grown = eng.state_for_interval(a, c)
+        grown.add_counts(right, eng.lgt)  # a state of several steps added at once
+        for state in (got, grown):
+            assert (state.m, state.sum_d2) == (want.m, want.sum_d2)
+            assert (state.s_cnt, state.d_cnt, state.g_cnt) == (want.s_cnt, want.d_cnt, want.g_cnt)
+            assert (state.s_hist, state.g_hist, state.t_hist) == (want.s_hist, want.g_hist, want.t_hist)
+            assert (state.n_steps, state.sum_t2) == (want.n_steps, want.sum_t2)
+            for name in ("lg_s1", "lg_d1", "lg_g1", "lg_t1"):
+                assert abs(getattr(state, name) - getattr(want, name)) <= 1e-9, name
+        # add_counts (left, right, want, grown) and merged (got) keep the
+        # histograms equal to the count dicts' value counts, with no zero
+        # entries, and the time margin equal to the steps' event counts
+        counts = dict(zip(d.occupied_steps.tolist(), d.step_counts.tolist()))
+        for state, lo, hi in ((left, a, c), (right, c, z), (got, a, z), (want, a, z), (grown, a, z)):
             for cnt, hist in ((state.s_cnt, state.s_hist), (state.g_cnt, state.g_hist)):
                 assert hist == Counter(cnt.values())
                 assert 0 not in hist and 0 not in hist.values()
-        assert [[getattr(x, f) for f in fields] for x in (left, right)] == before
+            steps = [n for t, n in counts.items() if lo <= t < hi]
+            assert state.t_hist == Counter(steps)
+            assert (state.n_steps, state.sum_t2) == (len(steps), sum(n * n for n in steps))
+            assert abs(state.lg_t1 - math.fsum(math.lgamma(n + 1) for n in steps)) <= 1e-9
+        # neither merged nor add_counts changes the state it reads from
+        assert [_snapshot(x) for x in (left, right)] == before
+        assert [_snapshot(step) for step in eng.steps] == built

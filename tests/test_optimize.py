@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -389,6 +390,31 @@ class TestSolveGreedy:
         assert left == right
         assert left < 0 and cost(0, 3) > cost(0, 2) + cost(2, 3)  # K=2 is best
         assert solve_greedy(d).binning.widths == (2, 1) == reference_greedy(d)[0]
+
+    def test_peak_memory_per_event_is_bounded(self):
+        # 10k random events on 1988 occupied steps over 100 x 100 labels, so
+        # the merges meet hundreds of distinct edge counts (413). The search
+        # keeps one state per occupied step and nothing per edge count, about
+        # 630 B an event at its peak; a prefix row over the occupied steps
+        # per edge count would add about 660 B more
+        n = 10_000
+        rng = np.random.default_rng(7)
+        ev = EventSet(
+            sources=rng.integers(0, 100, n),
+            dests=rng.integers(0, 100, n),
+            times=np.sort(rng.integers(0, 2000, n)).astype(float),
+            source_labels=tuple(f"s{i}" for i in range(100)),
+            dest_labels=tuple(f"d{i}" for i in range(100)),
+        )
+        d = discretize_on_grid(ev, 2000, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            solve_greedy(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.occupied_steps) == 1988
+        assert peak / n < 900
 
 
 class TestBruteforce:
