@@ -36,7 +36,6 @@ from .events import (
 from .metrics import (
     ccami,
     gap_ratio_alpha,
-    inverse_compression_ratio,
     jsd_edges,
     posterior_log_ratio,
 )

@@ -119,9 +119,9 @@ def _write_series_csv(path: Path, d: DiscretizedEvents, results: list[BinningRes
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"  # NaN or inf: exit 2, no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_bin(args: argparse.Namespace) -> Path:

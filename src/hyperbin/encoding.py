@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import LN2, ec_bits, log2_binomial, log2_multiset
+# nothing here calls ec_bits: it stays for perfbench/tracing.py, which wraps it by
+# name, and tests/test_perfbench_hooks.py checks that it resolves
+from .combinatorics import LN2, ec_bits, log2_binomial  # noqa: F401
 from .events import (
     Binning,
     DiscretizedEvents,
@@ -32,6 +34,13 @@ INF = math.inf
 # slower on the dp_sparse benchmark (median 11.8 -> 12.7 ms, 12 pairs of runs
 # on a 2-core machine)
 TABLE_STEPS = 5000
+
+
+def lgamma_table(N: int, S: int, D: int, T: int) -> np.ndarray:
+    """lgamma(i) at each index i >= 1 up to a count (<= N) plus the number of sources,
+    destinations or distinct edges; only a width's m + tau can pass it (see _width_bits)."""
+    size = N + max(min(T, TABLE_STEPS), S, D, min(S * D, N)) + 3
+    return np.concatenate([[0.0, 0.0], np.cumsum(np.log(np.arange(1, size - 1)))])
 
 
 def decoupled_constant(N: int, T: int) -> float:
@@ -73,26 +82,26 @@ class DLBreakdown:
 def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
     """Exact three-stage description length of (d, b), with the decoupled form.
 
-    Raises EmptyClusterError for binnings that leave a cluster without
-    events (the stage-1 code sends cluster sizes as positive integers).
+    cluster_bits prices each cluster from a MarginState of its snapshot's
+    margins. Raises EmptyClusterError for binnings that leave a cluster
+    without events (the stage-1 code sends cluster sizes as positive integers).
     """
     part = induce_partition(d, b)  # validates the binning
     N, T = d.base.N, d.T
     S, D = d.base.S, d.base.D
     const = decoupled_constant(N, T)
-    l2_terms, l3_terms = [], []
+    lgt = lgamma_table(N, S, D, T).tolist()
+    stages = []  # (stage-2 bits, stage-3 bits) per cluster
     for k in range(b.K):
         snap = build_snapshot(d, b, k)
-        m = snap.m_k
-        l2_terms.append(log2_multiset(S, m) + log2_multiset(D, m) + log2_multiset(snap.tau_k, m))
-        s_pos = tuple(int(v) for v in snap.source_margin if v > 0)
-        d_pos = tuple(int(v) for v in snap.dest_margin if v > 0)
-        g_pos = tuple(snap.edges.values())
-        l3_terms.append(ec_bits(s_pos, d_pos) + ec_bits(g_pos, snap.step_counts.tolist()))
+        margins = (snap.source_margin, snap.dest_margin)
+        s_cnt, d_cnt = ({v: c for v, c in enumerate(x.tolist()) if c} for x in margins)
+        state = MarginState.of_counts(s_cnt, d_cnt, snap.edges, snap.step_counts.tolist(), lgt)
+        stages.append(cluster_bits(state, snap.tau_k, S, D, lgt))
     L1 = stage1_dl(N, T, part.K)
-    L2 = sum(l2_terms)
-    L3 = sum(l3_terms)
-    per_cluster = tuple(const + l2 + l3 for l2, l3 in zip(l2_terms, l3_terms))
+    L2 = sum(l2 for l2, _ in stages)
+    L3 = sum(l3 for _, l3 in stages)
+    per_cluster = tuple(const + l2 + l3 for l2, l3 in stages)
     return DLBreakdown(
         L0_naive=naive_dl(N, S, D, T),
         L1=L1,
@@ -131,8 +140,8 @@ class MarginState:
     it, never with a zero key or a zero multiplicity) of the source, edge
     and step counts, plus the running aggregate sums the effective-columns
     terms need, updated in O(1) per distinct value added. It holds no step
-    range, and its sums round by the order steps go in: the engine fills
-    every range downward, `merged` in its own order.
+    range, and its sums round by the order values go in: the engine fills
+    every range downward, `merged` and `of_counts` in their own orders.
     """
 
     __slots__ = (
@@ -157,17 +166,19 @@ class MarginState:
         self.lg_t1 = 0.0  # sum of lgamma(count + 1) over occupied steps
 
     @classmethod
-    def of_step(cls, s_cnt: dict, d_cnt: dict, g_cnt: dict, lgt) -> "MarginState":
-        """State of one occupied step, adopting its value -> count dicts; its
-        sums round as add_counts rounds them into an empty state."""
+    def of_counts(cls, s_cnt: dict, d_cnt: dict, g_cnt: dict, step_counts: list, lgt) -> "MarginState":
+        """State of events with these margins, summed in the order given: it
+        adopts the value -> count dicts of their sources, destinations and
+        edges; `step_counts` holds each occupied step's event count."""
         out = cls()
         out.lg_s1 = _add_weighted({}, out.s_hist, s_cnt.items(), lgt, 0.0)
         out.lg_d1 = _add_weighted({}, {}, d_cnt.items(), lgt, 0.0)
         out.lg_g1 = _add_weighted({}, out.g_hist, g_cnt.items(), lgt, 0.0)
+        out.lg_t1 = _add_weighted({}, out.t_hist, enumerate(step_counts), lgt, 0.0)
         out.s_cnt, out.d_cnt, out.g_cnt = s_cnt, d_cnt, g_cnt
-        out.m = m = sum(d_cnt.values())
+        out.m, out.n_steps = sum(step_counts), len(step_counts)
         out.sum_d2 = sum(c * c for c in d_cnt.values())
-        out.t_hist, out.n_steps, out.sum_t2, out.lg_t1 = {m: 1}, 1, m * m, lgt[m + 1]
+        out.sum_t2 = sum(c * c for c in step_counts)
         return out
 
     def add_counts(self, other: "MarginState", lgt) -> None:
@@ -205,17 +216,79 @@ class MarginState:
         return out
 
 
+def _width_bits(m: int, tau: int, lgt: list) -> float:  # IntervalCostEngine.width_bits of one pair
+    top = m + tau
+    if top < len(lgt):
+        return (lgt[top] - lgt[tau]) / LN2
+    return (math.lgamma(top) - math.lgamma(tau)) / LN2
+
+
+def _ec(m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift, lgt) -> float:
+    """Effective-columns bits (combinatorics.ec_bits) of the nr x nc
+    matrices with m events, from aggregates of the margins: `row_hist`
+    the (row sum, number of rows with it) pairs, lg_r1 / lg_c1 the sums
+    of lgamma(sum + 1) over rows / columns, sc2 the sum of squared column
+    sums and lg_cols_shift the sum of lgamma(column sum + nr)."""
+    if nr <= 1 or nc <= 1:
+        return 0.0
+    if nc == m:  # every column sum is 1
+        return (lgt[m + 1] - lg_r1) / LN2
+    if nr == m:  # every row sum is 1
+        return (lgt[m + 1] - lg_c1) / LN2
+    ctilde = (m * m - m + (m * m - sc2) / nr) / (sc2 - m)
+    lg = math.lgamma
+    bits = -nr * lg(ctilde) - lg_r1
+    for r, n in row_hist:
+        bits += n * lg(r + ctilde)
+    bits += lg_cols_shift - nc * lgt[nr] - lg_c1
+    bits -= lg(m + nr * ctilde) - lg(nr * ctilde) - lgt[m + 1]
+    return bits / LN2
+
+
+def cluster_bits(state: MarginState, tau: int, S: int, D: int, lgt: list) -> tuple[float, float]:
+    """Stage-2 and stage-3 bits of a cluster of `tau` steps holding the events of
+    `state` (at least one) over S sources and D destinations, `lgt` their lgamma_table
+    as a list: the one coding of a cluster's cost, for interval_cost and total_dl_exact."""
+    m = state.m
+    l2 = (
+        (lgt[S + m] - lgt[S] - lgt[m + 1]) / LN2
+        + (lgt[D + m] - lgt[D] - lgt[m + 1]) / LN2
+        + _width_bits(m, tau, lgt)
+        - lgt[m + 1] / LN2
+    )
+    # sources x destinations
+    nr = len(state.s_cnt)
+    lg_shift = 0.0
+    for c in state.d_cnt.values():
+        lg_shift += lgt[c + nr]
+    l3 = _ec(
+        m, nr, len(state.d_cnt), state.s_hist.items(),
+        state.lg_s1, state.lg_d1, state.sum_d2, lg_shift, lgt,
+    )
+    # edges x occupied steps
+    nr = len(state.g_cnt)
+    lg_shift = 0.0
+    for c, n in state.t_hist.items():
+        lg_shift += n * lgt[c + nr]
+    l3 += _ec(
+        m, nr, state.n_steps, state.g_hist.items(),
+        state.lg_g1, state.lg_t1, state.sum_t2, lg_shift, lgt,
+    )
+    return l2, l3
+
+
 class IntervalCostEngine:
     """Fast decoupled cluster costs over contiguous timestep intervals.
 
-    Same objective as total_dl_exact(d, b).per_cluster, organized for the
-    optimizers: a MarginState holds every margin a cluster's cost needs,
-    its time margin included, so interval_cost prices a cluster from its
-    state and takes from [a, z) only the width. The width enters the cost
-    only through `width_bits`, so the cost of one range of occupied steps at
-    any other width is an O(1) correction: the dynamic program scores each
-    range once, at its tightest width, through range_costs. Past TABLE_STEPS
-    nothing grows with T: set-up is O(N + P) for P occupied steps.
+    The coding of total_dl_exact(d, b).per_cluster (both call cluster_bits),
+    organized for the optimizers: a MarginState holds every margin a
+    cluster's cost needs, its time margin included, so interval_cost prices
+    a cluster from its state and takes from [a, z) only the width. The width
+    enters the cost only through `width_bits`, so the cost of one range of
+    occupied steps at any other width is an O(1) correction: the dynamic
+    program scores each range once, at its tightest width, through
+    range_costs. Past TABLE_STEPS nothing grows with T: set-up is O(N + P)
+    for P occupied steps.
 
     Per event the engine keeps only the integer lgamma table, a list of
     floats and its numpy twin (about 40 bytes an event); the stage-2
@@ -227,22 +300,12 @@ class IntervalCostEngine:
     def __init__(self, d: DiscretizedEvents):
         base = d.base
         self.T = d.T
-        self.N = base.N
         self.S = base.S
         self.D = base.D
-        self.const = decoupled_constant(self.N, self.T)
-
+        self.const = decoupled_constant(base.N, d.T)
         self.occupied = d.occupied_steps.tolist()
-
-        # integer lgamma table: index i holds lgamma(i), i >= 1. Arguments
-        # reach a count (<= N) plus the number of sources, destinations or
-        # distinct edges, and m + tau <= N + T; only width_bits' m + tau can
-        # pass the table, and it falls back to math.lgamma there.
-        n_edges_max = min(self.S * self.D, self.N)
-        size = self.N + max(min(self.T, TABLE_STEPS), self.S, self.D, n_edges_max) + 3
-        lgt_np = np.concatenate([[0.0, 0.0], np.cumsum(np.log(np.arange(1, size - 1)))])
-        self.lgt = lgt_np.tolist()
-        self._lgt_np = lgt_np
+        self._lgt_np = lgamma_table(base.N, base.S, base.D, d.T)
+        self.lgt = self._lgt_np.tolist()
 
         # per occupied step: events grouped into value -> count dicts, so a
         # state update costs O(distinct values), not O(events)
@@ -252,7 +315,10 @@ class IntervalCostEngine:
             self._group_by_rank(rank, field, len(self.occupied))
             for field in (base.sources, base.dests, ev_key)
         ]
-        self.steps = [MarginState.of_step(*counts, self.lgt) for counts in zip(*grouped)]
+        self.steps = [
+            MarginState.of_counts(s_cnt, d_cnt, g_cnt, [m], self.lgt)
+            for s_cnt, d_cnt, g_cnt, m in zip(*grouped, d.step_counts.tolist())
+        ]
 
     @staticmethod
     def _group_by_rank(rank: np.ndarray, values: np.ndarray, n_occupied: int) -> list:
@@ -299,72 +365,18 @@ class IntervalCostEngine:
             if (top < len(self.lgt)).all():
                 return (self._lgt_np[top] - self._lgt_np[tau]) / LN2
             return np.vectorize(self.width_bits, otypes=[float])(m, tau)  # pair by pair
-        if top < len(self.lgt):
-            return (self.lgt[top] - self.lgt[tau]) / LN2
-        return (math.lgamma(top) - math.lgamma(tau)) / LN2
-
-    def _ec(self, m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift) -> float:
-        """Effective-columns bits (combinatorics.ec_bits) of the nr x nc
-        matrices with m events, from aggregates of the margins: `row_hist`
-        the (row sum, number of rows with it) pairs, lg_r1 / lg_c1 the sums
-        of lgamma(sum + 1) over rows / columns, sc2 the sum of squared column
-        sums and lg_cols_shift the sum of lgamma(column sum + nr)."""
-        if nr <= 1 or nc <= 1:
-            return 0.0
-        lgt = self.lgt
-        if nc == m:  # every column sum is 1
-            return (lgt[m + 1] - lg_r1) / LN2
-        if nr == m:  # every row sum is 1
-            return (lgt[m + 1] - lg_c1) / LN2
-        ctilde = (m * m - m + (m * m - sc2) / nr) / (sc2 - m)
-        lg = math.lgamma
-        bits = -nr * lg(ctilde) - lg_r1
-        for r, n in row_hist:
-            bits += n * lg(r + ctilde)
-        bits += lg_cols_shift - nc * lgt[nr] - lg_c1
-        bits -= lg(m + nr * ctilde) - lg(nr * ctilde) - lgt[m + 1]
-        return bits / LN2
+        return _width_bits(m, tau, self.lgt)
 
     def interval_cost(self, a: int, z: int, state: MarginState) -> float:
         """Decoupled cost of the cluster covering steps [a, z).
 
         `state` must hold the margins of exactly those steps' events, filled
         downward from `steps` as range_costs and state_for_interval fill it
-        (merged's other order can move the cost by a few ulps); every margin,
-        the time margin too, comes from the state, and [a, z) gives only the
-        width. Returns +inf for eventless intervals (inadmissible clusters).
-        Both effective-columns terms go through `_ec`, with the rows given as
-        the state's weight histogram; the edge x step term's sum of
-        lgamma(step count + nr) is a loop over the step-count histogram.
+        (merged's other order can move the cost by a few ulps); [a, z) gives
+        only the width. Returns +inf for eventless intervals (inadmissible
+        clusters), else the decoupled constant plus cluster_bits' two stages.
         """
-        m = state.m
-        if m == 0:
+        if state.m == 0:
             return INF
-        lgt = self.lgt
-        S, D = self.S, self.D
-        bits = (
-            self.const
-            + (lgt[S + m] - lgt[S] - lgt[m + 1]) / LN2
-            + (lgt[D + m] - lgt[D] - lgt[m + 1]) / LN2
-            + self.width_bits(m, z - a)
-            - lgt[m + 1] / LN2
-        )
-        # sources x destinations
-        nr = len(state.s_cnt)
-        lg_shift = 0.0
-        for c in state.d_cnt.values():
-            lg_shift += lgt[c + nr]
-        bits += self._ec(
-            m, nr, len(state.d_cnt), state.s_hist.items(),
-            state.lg_s1, state.lg_d1, state.sum_d2, lg_shift,
-        )
-        # edges x occupied steps
-        nr = len(state.g_cnt)
-        lg_shift = 0.0
-        for c, n in state.t_hist.items():
-            lg_shift += n * lgt[c + nr]
-        bits += self._ec(
-            m, nr, state.n_steps, state.g_hist.items(),
-            state.lg_g1, state.lg_t1, state.sum_t2, lg_shift,
-        )
-        return bits
+        l2, l3 = cluster_bits(state, z - a, self.S, self.D, self.lgt)
+        return self.const + l2 + l3

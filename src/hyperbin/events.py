@@ -203,6 +203,9 @@ class DiscretizedEvents:
 
 
 def _finish_discretization(ev: EventSet, T: int, origin: float, delta_t: float) -> DiscretizedEvents:
+    span = float(ev.times[-1]) - float(ev.times[0])  # every grid is made here
+    if not (math.isfinite(span) and 0 < delta_t < math.inf and math.isfinite(origin + T * delta_t)):
+        raise ValueError(f"event times spanning {span} give no finite grid of {T} steps")
     steps = np.floor((ev.times - origin) / delta_t).astype(np.int64)
     np.clip(steps, 0, T - 1, out=steps)
     occupied, counts = np.unique(steps, return_counts=True)

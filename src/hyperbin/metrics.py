@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import total_dl_exact
-from .events import Binning, DiscretizedEvents, EventPartition, EventSet, HypergraphSnapshot
+from .events import EventPartition, EventSet, HypergraphSnapshot
 from .synth import as_generator, sample_positive_composition
 
 
@@ -24,11 +23,6 @@ def eta_ratio(dl: float, single_dl: float) -> float:
     happens only for the fully degenerate N=S=D=T=1 dataset, where the
     single binning describes itself, so eta is 1 there."""
     return dl / single_dl if single_dl > 0 else 1.0
-
-
-def inverse_compression_ratio(dl_opt: float, d: DiscretizedEvents) -> float:
-    """Ratio of `dl_opt` to the decoupled description length at K=1."""
-    return eta_ratio(dl_opt, total_dl_exact(d, Binning((d.T,))).decoupled_total)
 
 
 def _entropy_bits(sizes: np.ndarray, n: int) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import hyperbin
 import hyperbin.events
 from helpers import SAMPLE_ROWS, small_grids, valid_binnings
-from hyperbin.cli import _write_series_csv, main
+from hyperbin.cli import _write_json, _write_series_csv, main
 from hyperbin.optimize import solve_dp
 
 SRC = Path(hyperbin.__file__).resolve().parents[1]
@@ -37,6 +38,15 @@ def run(*argv):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+# finite timestamps without a finite grid, and what their error names: the
+# span overflows to inf, or the step width (span / auto T) underflows to 0
+NO_FINITE_GRID = {
+    b"source,destination,timestamp\nu,v,-1e308\nu,v,0\nu,v,1e308\n": "spanning inf",
+    b"source,destination,timestamp\nu,v,0\nu,v,5e-324\n": "spanning 5e-324",
+    b"source,destination,timestamp\nu,v,0\nu,v,1e-323\nu,v,1e-323\nu,v,0\n": "spanning 1e-323",
+}
 
 
 def write_sparse_days_csv(path, seed=0):
@@ -481,15 +491,22 @@ class TestExitCodes:
             b"source,destination,timestamp\nu,v,\"1\n",
             b"\"source,destination,timestamp\nu,v,1\n",  # the header's quote
             b"source,destination,timestamp\nu,\xff,1\n",
+            *NO_FINITE_GRID,
         ],
     )
     def test_malformed_file_is_a_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(content)
         out = tmp_path / "out.json"
-        assert main(["bin", "--input", str(bad), "--output", str(out)]) == 2
+        assert main(["bin", "--input", str(bad), "--output", str(out), "--method", "both"]) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "Traceback" not in err
+        assert NO_FINITE_GRID.get(content, str(bad)) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_non_finite_number_is_never_written(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(ValueError):  # exit 2 from main
+            _write_json(out, {"delta_t": math.inf, "t_min": math.nan})
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])

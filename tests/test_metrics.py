@@ -13,12 +13,9 @@ from hyperbin import (
     ccami,
     discretize,
     gap_ratio_alpha,
-    inverse_compression_ratio,
     jsd_edges,
     parse_events,
     posterior_log_ratio,
-    solve_dp,
-    total_dl_exact,
 )
 from hyperbin.synth import sample_positive_composition
 
@@ -155,20 +152,3 @@ class TestPosteriorLogRatio:
 
     def test_antisymmetric(self):
         assert posterior_log_ratio(3.25, 8.5) == -posterior_log_ratio(8.5, 3.25)
-
-
-class TestInverseCompressionRatio:
-    def test_single_cluster_reference(self):
-        rng = np.random.default_rng(2)
-        ev = random_event_set(rng, 40, 3, 3)
-        d = discretize(ev, 12)
-        dl = total_dl_exact(d, Binning((12,))).decoupled_total
-        assert inverse_compression_ratio(dl, d) == 1.0
-
-    def test_matches_solver_eta(self):
-        rng = np.random.default_rng(3)
-        ev = random_event_set(rng, 80, 4, 4)
-        d = discretize(ev, 20)
-        res = solve_dp(d)
-        assert inverse_compression_ratio(res.dl.decoupled_total, d) == res.eta
-

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import math
 import tracemalloc
 import weakref
 
@@ -252,6 +254,18 @@ class TestDpProperties:
             r_dp.partition.cluster_of_event.tolist()
             == r_bf.partition.cluster_of_event.tolist()
         )
+        # on every binning the brute force scores, the engine's cost of each
+        # cluster is the per_cluster cost the result reports
+        eng = IntervalCostEngine(d)
+        for K in range(1, d.T + 1):
+            for cuts in itertools.combinations(range(1, d.T), K - 1):
+                bounds = (0, *cuts, d.T)
+                spans = list(zip(bounds, bounds[1:]))
+                costs = [eng.interval_cost(a, z, eng.state_for_interval(a, z)) for a, z in spans]
+                if math.inf in costs:
+                    continue  # an eventless cluster: no binning to report
+                reported = total_dl_exact(d, Binning(tuple(z - a for a, z in spans))).per_cluster
+                assert max(abs(x - y) for x, y in zip(costs, reported)) <= 1e-9, bounds
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -510,6 +524,22 @@ class TestBaselines:
 
 
 class TestSingleClusterReference:
+    def test_reported_dl_makes_no_interval_cost_call(self, monkeypatch):
+        d = discretize_on_grid(burst_pair_events(), 100, 0.0, 1.0)
+        real, calls = IntervalCostEngine.interval_cost, []
+
+        def counting(eng, a, z, state):
+            calls.append((a, z))
+            return real(eng, a, z, state)
+
+        monkeypatch.setattr(IntervalCostEngine, "interval_cost", counting)
+        b = Binning((50, 50))
+        total_dl_exact(d, b)
+        optimize._finish(d, b, "uniform_duration", 0.0)  # the K=1 reference too
+        assert calls == []
+        solve_dp(d)  # the counter sees the optimizers' calls
+        assert calls
+
     def test_computed_once_per_dataset_and_dropped_with_it(self, monkeypatch):
         d = discretize_on_grid(burst_pair_events(), 100, 0.0, 1.0)
         real, single_calls = optimize.total_dl_exact, []
