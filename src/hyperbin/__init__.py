@@ -1,13 +1,6 @@
 """MDL-optimal temporal hypergraph snapshots from bipartite event data."""
 
-from .combinatorics import (
-    Margins,
-    count_margin_matrices,
-    log2_binomial,
-    log2_multiset,
-    log2_omega_ec,
-    log2_omega_exact,
-)
+from .combinatorics import log2_binomial, log2_multiset
 from .encoding import (
     DLBreakdown,
     IntervalCostEngine,
@@ -37,13 +30,11 @@ from .metrics import (
     ccami,
     gap_ratio_alpha,
     jsd_edges,
-    posterior_log_ratio,
 )
 from .optimize import (
     BinningResult,
     baseline_uniform_count,
     baseline_uniform_duration,
-    solve_bruteforce,
     solve_dp,
     solve_greedy,
 )

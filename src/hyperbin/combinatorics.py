@@ -1,20 +1,19 @@
 """Log-space combinatorial primitives.
 
-Binomial and multiset coefficients through log-gamma, plus the number of
-non-negative integer matrices with fixed row/column margins: an exact count
-for small instances (test oracle) and the effective-columns estimate used
-by the description-length objective.
+Binomial and multiset coefficients through log-gamma, the effective-columns
+estimate of the number of non-negative integer matrices with fixed row and
+column margins, and the exact count of such matrices by column fills, which
+synth's exact-uniform sampler walks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 LN2 = math.log(2.0)
 
-# The envelope of exact matrix counting, and of synth's exact-uniform sampler.
+# The envelope of synth's exact-uniform sampler, which counts matrices exactly.
 EXACT_MAX_TOTAL = 40
 EXACT_MAX_MIN_DIM = 6
 
@@ -41,47 +40,6 @@ def log2_multiset(y: float, x: int) -> float:
     if x == 0:
         return 0.0
     return (math.lgamma(x + y) - math.lgamma(y) - math.lgamma(x + 1)) / LN2
-
-
-@dataclass(frozen=True)
-class Margins:
-    """Row and column sums of a non-negative integer matrix."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        cols = tuple(int(c) for c in self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        if not rows or not cols:
-            raise ValueError("margins need at least one row and one column")
-        if min(rows) < 0 or min(cols) < 0:
-            raise ValueError("margins must be non-negative")
-        if sum(rows) != sum(cols):
-            raise ValueError(
-                f"infeasible margins: row sum {sum(rows)} != col sum {sum(cols)}"
-            )
-
-
-def count_margin_matrices(rows: Sequence[int], cols: Sequence[int]) -> int:
-    """Exact number of non-negative integer matrices with the given margins.
-
-    Column-by-column dynamic programming over residual row sums, exact
-    integer arithmetic. Zero entries are stripped first (they do not change
-    the count). Intended for small instances; callers wanting a guard should
-    go through log2_omega_exact.
-    """
-    r = tuple(sorted((int(x) for x in rows if x > 0), reverse=True))
-    c = tuple(sorted((int(x) for x in cols if x > 0), reverse=True))
-    if sum(r) != sum(c):
-        raise ValueError("infeasible margins: row and column sums differ")
-    if not r:
-        return 1
-    if len(r) > len(c):
-        r, c = c, r
-    return _count_tables(r, c, 0, {})
 
 
 def _column_fills(rows: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
@@ -118,42 +76,18 @@ def _count_tables(rows: tuple[int, ...], cols: tuple[int, ...], j: int, memo: di
     return hit
 
 
-def log2_omega_exact(m: Margins) -> float:
-    """Exact base-2 log of the number of matrices with margins `m`.
-
-    Guarded: after stripping zero entries the instance must satisfy
-    min(#rows, #cols) <= 6 and total <= 40, otherwise it is refused.
-    """
-    rows = tuple(x for x in m.rows if x > 0)
-    cols = tuple(x for x in m.cols if x > 0)
-    total = sum(rows)
-    if total == 0:
-        return 0.0
-    if min(len(rows), len(cols)) > EXACT_MAX_MIN_DIM or total > EXACT_MAX_TOTAL:
-        raise ValueError(
-            "instance too large for exact counting: need min(#rows, #cols) <= "
-            f"{EXACT_MAX_MIN_DIM} and total <= {EXACT_MAX_TOTAL}, got "
-            f"{len(rows)}x{len(cols)} with total {total}"
-        )
-    return math.log2(count_margin_matrices(rows, cols))
-
-
-def log2_omega_ec(m: Margins) -> float:
-    """Effective-columns estimate of log2 of the matrix count for margins `m`.
-
-    Orientation is fixed: the first margin is always treated as the rows.
-    Zero entries are stripped. Single-row/column margins and all-ones margins
-    are handled by their closed forms; otherwise the column count is replaced
-    by a real-valued effective count matched to the column-sum heterogeneity.
-    """
-    rows = tuple(x for x in m.rows if x > 0)
-    cols = tuple(x for x in m.cols if x > 0)
-    return ec_bits(rows, cols)
-
-
 def ec_bits(rows: Sequence[int], cols: Sequence[int]) -> float:
-    """Effective-columns estimate on margins already stripped of zeros."""
+    """Effective-columns estimate of log2 of the number of matrices with row
+    sums `rows` and column sums `cols`, both stripped of zeros.
+
+    Orientation is fixed: rows and columns play asymmetric roles. Single
+    row/column margins and all-ones margins take their closed forms;
+    otherwise the column count is replaced by a real-valued effective count
+    matched to the column-sum heterogeneity.
+    """
     n = sum(rows)
+    if n != sum(cols):
+        raise ValueError(f"infeasible margins: row sum {n} != col sum {sum(cols)}")
     nr, nc = len(rows), len(cols)
     if n == 0 or nr <= 1 or nc <= 1:
         return 0.0

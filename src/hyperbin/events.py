@@ -49,7 +49,7 @@ class EventSet:
             raise EventDataError("sources, dests and times must have equal length")
         if not np.all(np.isfinite(self.times)):
             raise EventDataError("event times must be finite")
-        if np.any(np.diff(self.times) < 0):
+        if np.any(self.times[1:] < self.times[:-1]):  # a difference can overflow
             raise EventDataError("events must be sorted by time")
         if not self.source_labels or not self.dest_labels:
             raise EventDataError("label alphabets must be non-empty")

@@ -2,8 +2,7 @@
 
 Inverse compression ratio against the single-bin code, contiguity-corrected
 adjusted mutual information between event partitions, the temporal event gap
-ratio, the normalized edge Jensen-Shannon divergence across snapshots, and
-description-length posterior comparisons.
+ratio and the normalized edge Jensen-Shannon divergence across snapshots.
 """
 
 from __future__ import annotations
@@ -128,10 +127,4 @@ def jsd_edges(snaps: Sequence[HypergraphSnapshot]) -> float:
     for s in snaps:
         mix += (s.m_k / n) * _entropy_of_weights(s.edges.values(), s.m_k)
     return min(1.0, max(0.0, 1.0 - mix / h0))
-
-
-def posterior_log_ratio(dl_a: float, dl_b: float) -> float:
-    """Description-length difference in bits; 2**difference is the relative
-    posterior probability of b over a under the code's implied model."""
-    return dl_a - dl_b
 

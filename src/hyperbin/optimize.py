@@ -2,14 +2,12 @@
 
 solve_dp finds the global optimum with the classic one-dimensional
 segmentation recursion; solve_greedy agglomerates adjacent clusters, always
-merging the pair with the best change; solve_bruteforce enumerates all
-compositions (small T oracle); two naive baselines bin by equal duration or
-equal event counts.
+merging the pair with the best change; two naive baselines bin by equal
+duration or equal event counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 import weakref
 from dataclasses import dataclass
@@ -34,11 +32,7 @@ from .events import (
 )
 from .metrics import eta_ratio
 
-Method = Literal[
-    "exact_dp", "greedy", "brute_force", "uniform_duration", "uniform_count"
-]
-
-BRUTEFORCE_MAX_T = 14
+Method = Literal["exact_dp", "greedy", "uniform_duration", "uniform_count"]
 
 # two costs within this many bits are a tie, settled by a rule rather than by
 # float rounding (criterion 1's tolerance)
@@ -226,36 +220,6 @@ def _greedy_widths(eng: IntervalCostEngine) -> tuple[int, ...]:
     merged_away = set(merge_log[:n_best])
     bounds = [a for a in initial_starts if a not in merged_away] + [T]
     return tuple(z - a for a, z in zip(bounds, bounds[1:]))
-
-
-def solve_bruteforce(d: DiscretizedEvents) -> BinningResult:
-    """Exhaustive minimum over all compositions of T (test oracle).
-
-    A composition with an eventless cluster costs +inf (interval_cost), so
-    it never wins. Ties prefer fewer clusters, then lexicographically
-    smallest widths (which is the enumeration order, so the first strict
-    minimum wins).
-    """
-    t0 = time.perf_counter()
-    T = d.T
-    if T > BRUTEFORCE_MAX_T:
-        raise ValueError(f"brute force supports T <= {BRUTEFORCE_MAX_T}, got {T}")
-    eng = IntervalCostEngine(d)
-
-    best_dl = INF
-    best_widths: tuple[int, ...] | None = None
-    for K in range(1, T + 1):
-        for cuts in itertools.combinations(range(1, T), K - 1):
-            bounds = (0,) + cuts + (T,)
-            dl = 0.0  # +inf when some cluster holds no events
-            for k in range(K):
-                a, z = bounds[k], bounds[k + 1]
-                dl += eng.interval_cost(a, z, eng.state_for_interval(a, z))
-            if dl < best_dl:
-                best_dl = dl
-                best_widths = tuple(bounds[k + 1] - bounds[k] for k in range(K))
-    assert best_widths is not None  # K=1 is always feasible (N >= 1)
-    return _finish(d, Binning(best_widths), "brute_force", time.perf_counter() - t0, cap_at_single=True)
 
 
 def baseline_uniform_duration(d: DiscretizedEvents, K: int) -> BinningResult:

@@ -1,7 +1,11 @@
 """Shared fixtures-in-code for the test suite."""
 
+import itertools
 import math
+import time
+from bisect import bisect_left
 from datetime import datetime, timezone
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,8 +18,11 @@ from hyperbin import (
     discretize_on_grid,
     parse_events,
 )
-from hyperbin.encoding import MarginState
-from hyperbin.optimize import TIE_BITS
+from hyperbin.combinatorics import EXACT_MAX_MIN_DIM, EXACT_MAX_TOTAL, _count_tables
+from hyperbin.encoding import INF, MarginState, _width_bits
+from hyperbin.optimize import TIE_BITS, BinningResult, _finish
+
+BRUTEFORCE_MAX_T = 14
 
 # 10 events over 4 sources and 3 destinations, placed on a 12-step grid so
 # that the first 6 events land in steps 0-5 and the last 4 in steps 7-11.
@@ -88,7 +95,7 @@ def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
     bounds = [0] + [e + 1 for e in eng.occupied[:-1]] + [d.T]
 
     def cost(a, z):
-        return eng.interval_cost(a, z, eng.state_for_interval(a, z))
+        return eng.interval_cost(a, z, state_for_interval(eng, a, z))
 
     total = lowest = sum(cost(a, z) for a, z in zip(bounds, bounds[1:]))
     best = (total, list(bounds))
@@ -113,7 +120,7 @@ def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
     """The gap-end segmentation recursion as plain Python loops: best[j] and
     parent[j] for every candidate cut j (0, T and both ends of every
     eventless gap), scoring each range of occupied steps once at its
-    tightest width and every (start, end) pair with a scalar width_bits.
+    tightest width and every (start, end) pair with the scalar _width_bits.
     A gap's right end is dropped unless it beats its left end by more than
     TIE_BITS; starts are then scanned downward and ties taken, so the
     smallest start wins.
@@ -121,7 +128,10 @@ def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
     occ = eng.occupied
     cuts = [(0,)] + [(a + 1, z) if a + 1 < z else (z,) for a, z in zip(occ, occ[1:])]
     cuts.append((eng.T,))
-    width = eng.width_bits
+
+    def width(m, tau):
+        return _width_bits(m, tau, eng.lgt)
+
     best = {0: 0.0}
     parent = {0: 0}
     for p1 in range(1, len(cuts)):
@@ -149,6 +159,79 @@ def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:
             best[e] = v
             parent[e] = s
     return best, parent
+
+
+def state_for_interval(eng: IntervalCostEngine, a: int, z: int) -> MarginState:
+    """Margin state for the events of steps [a, z), filled downward from
+    `eng.steps` as range_costs fills it, so both price a range alike."""
+    state = MarginState()
+    occ = eng.occupied
+    for p in range(bisect_left(occ, z) - 1, bisect_left(occ, a) - 1, -1):
+        state.add_counts(eng.steps[p], eng.lgt)
+    return state
+
+
+def solve_bruteforce(d) -> BinningResult:
+    """Exhaustive minimum over all compositions of T (test oracle).
+
+    A composition with an eventless cluster costs +inf (interval_cost), so
+    it never wins. Ties prefer fewer clusters, then lexicographically
+    smallest widths (which is the enumeration order, so the first strict
+    minimum wins).
+    """
+    t0 = time.perf_counter()
+    T = d.T
+    if T > BRUTEFORCE_MAX_T:
+        raise ValueError(f"brute force supports T <= {BRUTEFORCE_MAX_T}, got {T}")
+    eng = IntervalCostEngine(d)
+
+    best_dl = INF
+    best_widths: tuple[int, ...] | None = None
+    for K in range(1, T + 1):
+        for cuts in itertools.combinations(range(1, T), K - 1):
+            bounds = (0,) + cuts + (T,)
+            dl = 0.0  # +inf when some cluster holds no events
+            for k in range(K):
+                a, z = bounds[k], bounds[k + 1]
+                dl += eng.interval_cost(a, z, state_for_interval(eng, a, z))
+            if dl < best_dl:
+                best_dl = dl
+                best_widths = tuple(bounds[k + 1] - bounds[k] for k in range(K))
+    assert best_widths is not None  # K=1 is always feasible (N >= 1)
+    return _finish(d, Binning(best_widths), "brute_force", time.perf_counter() - t0, cap_at_single=True)
+
+
+def nonzero(margin) -> tuple[int, ...]:
+    """A margin with its zero entries stripped, as combinatorics.ec_bits takes it."""
+    return tuple(int(x) for x in margin if x > 0)
+
+
+def count_margin_matrices(rows: Sequence[int], cols: Sequence[int]) -> int:
+    """Exact number of non-negative integer matrices with the given margins.
+
+    Column-by-column dynamic programming over residual row sums, exact
+    integer arithmetic. Zero entries are stripped first (they do not change
+    the count). Guarded: after stripping, the instance must satisfy
+    min(#rows, #cols) <= EXACT_MAX_MIN_DIM and total <= EXACT_MAX_TOTAL,
+    the bounds within which synth samples tables exactly.
+    """
+    if min(rows, default=0) < 0 or min(cols, default=0) < 0:
+        raise ValueError("margins must be non-negative")
+    r = tuple(sorted((int(x) for x in rows if x > 0), reverse=True))
+    c = tuple(sorted((int(x) for x in cols if x > 0), reverse=True))
+    if sum(r) != sum(c):
+        raise ValueError("infeasible margins: row and column sums differ")
+    if min(len(r), len(c)) > EXACT_MAX_MIN_DIM or sum(r) > EXACT_MAX_TOTAL:
+        raise ValueError(
+            "instance too large for exact counting: need min(#rows, #cols) <= "
+            f"{EXACT_MAX_MIN_DIM} and total <= {EXACT_MAX_TOTAL}, got "
+            f"{len(r)}x{len(c)} with total {sum(r)}"
+        )
+    if not r:
+        return 1
+    if len(r) > len(c):
+        r, c = c, r
+    return _count_tables(r, c, 0, {})
 
 
 @st.composite

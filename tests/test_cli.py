@@ -6,12 +6,13 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from datetime import timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperbin
@@ -47,6 +48,37 @@ NO_FINITE_GRID = {
     b"source,destination,timestamp\nu,v,0\nu,v,5e-324\n": "spanning 5e-324",
     b"source,destination,timestamp\nu,v,0\nu,v,1e-323\nu,v,1e-323\nu,v,0\n": "spanning 1e-323",
 }
+
+
+# label text that CSV must quote or that is not ASCII
+LABEL_CHARS = st.sampled_from(['"', ",", "\n", "\r", " ", "é", "雪", "\u2028", "a", "b"])
+
+
+@st.composite
+def timestamps(draw):
+    """Timestamp text: any finite float, including subnormals and values
+    near the float64 limits, an integer of magnitude up to 1e20, or an ISO-8601
+    stamp, naive or with an offset (`Z` for UTC), in extended or basic form."""
+    kind = draw(st.sampled_from(["float", "int", "iso"]))
+    if kind == "float":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "int":
+        return str(draw(st.integers(-(10**20), 10**20)))
+    offset = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59))
+    dt = draw(st.datetimes(timezones=st.none() | st.builds(timezone, offset)))
+    if draw(st.booleans()):
+        return f"{dt.year:04}{dt.month:02}{dt.day:02}T{dt:%H%M%S}"  # basic form, no offset
+    text = dt.isoformat(sep=draw(st.sampled_from(["T", " "])))
+    return text.replace("+00:00", "Z") if draw(st.booleans()) else text
+
+
+def event_rows():
+    label = st.text(LABEL_CHARS, max_size=4) | st.text(max_size=4)
+    return st.lists(st.tuples(label, label, timestamps()), min_size=1, max_size=6)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 def write_sparse_days_csv(path, seed=0):
@@ -452,6 +484,33 @@ class TestSweepCommand:
             runtimes[r[5]].append(float(r[8]))
         # medians, to keep one scheduler hiccup from flipping the comparison
         assert np.median(runtimes["exact_dp"]) >= np.median(runtimes["greedy"])
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=event_rows())
+    @example(rows=[("u", "v", "-1e308"), ("u", "v", "0"), ("u", "v", "1e308")])
+    @example(rows=[("u", "v", "0"), ("u", "v", "5e-324")])
+    @example(rows=[("u", "v", "0"), ("u", "v", "1e-323"), ("u", "v", "1e-323"), ("u", "v", "0")])
+    # a span past the float64 range: EventSet's sort check must not overflow
+    @example(rows=[("u", "v", "1.7976931348623157e+308"), ("u", "v", "-1e300")])
+    def test_bin_writes_what_metrics_reads(self, rows):
+        # bin exits 0 or 2 and never raises; a document it writes is strict
+        # JSON, and metrics re-derives every eta from it and the events
+        with tempfile.TemporaryDirectory() as tmp:
+            events, result, metrics = (Path(tmp) / n for n in ("ev.csv", "r.json", "m.json"))
+            with open(events, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([hyperbin.events.CSV_HEADER, *rows])
+            code = run("bin", "--input", events, "--output", result, "--method", "both", "--baselines")
+            assert code in (0, 2)
+            if code == 2:
+                assert not result.exists()
+                return
+            json.loads(result.read_text(encoding="utf-8"), parse_constant=_no_constant)
+            assert run("metrics", result, "--input", events, "--output", metrics) == 0
+            doc = json.loads(metrics.read_text(encoding="utf-8"), parse_constant=_no_constant)
+            for entry in doc["results"]:
+                assert abs(entry["eta_recomputed"] - entry["eta"]) <= 1e-9, entry
 
 
 class TestExitCodes:

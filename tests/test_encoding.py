@@ -7,26 +7,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import sample_events, random_event_set
+from helpers import count_margin_matrices, random_event_set, sample_events, state_for_interval
 from hyperbin import (
     Binning,
     EmptyClusterError,
     EventSet,
     IntervalCostEngine,
-    Margins,
     build_snapshot,
     decoupled_constant,
     discretize,
     discretize_on_grid,
     induce_partition,
     log2_multiset,
-    log2_omega_exact,
     naive_dl,
     parse_events,
     stage1_dl,
     total_dl_exact,
 )
-from hyperbin.encoding import MarginState
+from hyperbin.encoding import MarginState, _width_bits
 
 
 class TestNaiveDl:
@@ -83,7 +81,7 @@ class TestClusterDl:
             decoupled_constant(3, 10)
             + log2_multiset(2, 2) * 2
             + 0.0
-            + log2_omega_exact(Margins((1, 1), (1, 1)))
+            + math.log2(count_margin_matrices((1, 1), (1, 1)))
         )
         got = total_dl_exact(d, Binning((1, 9))).per_cluster[0]
         assert got == pytest.approx(expected, abs=1e-9)
@@ -94,9 +92,9 @@ class TestClusterDl:
         assert math.isfinite(got) and got > 0
         # replace both estimates by exact counts: difference stays within the
         # estimator's accuracy budget (two terms, each within 0.5 bits here)
-        exact_terms = log2_omega_exact(
-            Margins((4, 2), (4, 2))
-        ) + log2_omega_exact(Margins((3, 1, 1, 1), (1, 1, 1, 1, 1, 1)))
+        exact_terms = math.log2(count_margin_matrices((4, 2), (4, 2))) + math.log2(
+            count_margin_matrices((3, 1, 1, 1), (1, 1, 1, 1, 1, 1))
+        )
         approx_terms = got - (
             decoupled_constant(10, 12)
             + log2_multiset(4, 6)
@@ -181,7 +179,7 @@ class TestIntervalCostEngine:
             for _ in range(6):
                 a = int(rng.integers(0, t))
                 z = int(rng.integers(a + 1, t + 1))
-                got = eng.interval_cost(a, z, eng.state_for_interval(a, z))
+                got = eng.interval_cost(a, z, state_for_interval(eng, a, z))
                 want = self._reference_cost(d, a, z)
                 if math.isinf(want):
                     assert math.isinf(got)
@@ -224,7 +222,7 @@ class TestIntervalCostEngine:
         induce_partition(d, b)
         bounds = (0, 5, 10, 18)
         engine_total = sum(
-            eng.interval_cost(bounds[k], bounds[k + 1], eng.state_for_interval(bounds[k], bounds[k + 1]))
+            eng.interval_cost(bounds[k], bounds[k + 1], state_for_interval(eng, bounds[k], bounds[k + 1]))
             for k in range(3)
         )
         assert total_dl_exact(d, b).decoupled_total == pytest.approx(engine_total, abs=1e-9)
@@ -232,7 +230,7 @@ class TestIntervalCostEngine:
     def test_single_cluster_cost(self):
         d = discretize(sample_events(), 12)
         eng = IntervalCostEngine(d)
-        assert eng.interval_cost(0, 12, eng.state_for_interval(0, 12)) == pytest.approx(
+        assert eng.interval_cost(0, 12, state_for_interval(eng, 0, 12)) == pytest.approx(
             total_dl_exact(d, Binning((12,))).decoupled_total, abs=1e-9
         )
 
@@ -243,19 +241,22 @@ class TestIntervalCostEngine:
         sizes = [len(IntervalCostEngine(discretize(ev, T)).lgt) for T in (12, TABLE_STEPS, 10**9)]
         assert sizes[0] < sizes[1] == sizes[2] < 2 * TABLE_STEPS
         huge = IntervalCostEngine(discretize(ev, 10**9))
-        # width_bits falls back to math.lgamma past the table
-        pairs = ((10, 20), (10, len(huge.lgt) - 10), (6, 10**9 - 7))
+        # past the table width_bits maps the scalar _width_bits over the
+        # pairs; it equals the exact sum of log2(tau + i), also where a
+        # difference of two lgammas cancels (it read 0 bits at 1e18)
+        pairs = ((10, 20), (10, len(huge.lgt) - 10), (6, 10**9 - 7),
+                 (42, 10**6), (42, 10**12), (42, 10**18))
         for m, tau in pairs:
-            want = (math.lgamma(m + tau) - math.lgamma(tau)) / math.log(2)
-            assert huge.width_bits(m, tau) == pytest.approx(want, rel=1e-12)
+            want = math.fsum(math.log2(tau + i) for i in range(m))
+            assert abs(_width_bits(m, tau, huge.lgt) - want) <= 1e-9, (m, tau)
         # over integer arrays, broadcast as the DP does, it equals the scalar
-        # call pair by pair, inside the table and past it
+        # function pair by pair, inside the table and past it
         m, tau = np.array(pairs).T
         got = huge.width_bits(m, np.stack([tau, tau])).tolist()
-        assert got == [[huge.width_bits(a, b) for a, b in pairs]] * 2
+        assert got == [[_width_bits(a, b, huge.lgt) for a, b in pairs]] * 2
         # and the costs still match the public path at that T
         d = discretize(ev, 10**9)
-        assert huge.interval_cost(0, d.T, huge.state_for_interval(0, d.T)) == pytest.approx(
+        assert huge.interval_cost(0, d.T, state_for_interval(huge, 0, d.T)) == pytest.approx(
             total_dl_exact(d, Binning((d.T,))).decoupled_total, abs=1e-6
         )
 
@@ -355,7 +356,7 @@ class TestEngineProperties:
         eng = IntervalCostEngine(d)
         for a in range(d.T):
             for z in range(a + 1, d.T + 1):
-                got = eng.interval_cost(a, z, eng.state_for_interval(a, z))
+                got = eng.interval_cost(a, z, state_for_interval(eng, a, z))
                 want = TestIntervalCostEngine._reference_cost(d, a, z)
                 if math.isinf(want):
                     assert math.isinf(got)
@@ -376,7 +377,7 @@ class TestEngineProperties:
             assert len(cost) == len(m) == p1
             for p0, a in enumerate(starts[:p1]):
                 # bit for bit: both fill the range in the same order
-                state = eng.state_for_interval(a, z)
+                state = state_for_interval(eng, a, z)
                 assert (cost[p0], m[p0]) == (eng.interval_cost(a, z, state), state.m)
         # every range grows a state from the steps without changing them
         assert [_snapshot(step) for step in eng.steps] == built
@@ -387,11 +388,11 @@ class TestEngineProperties:
         a, c, z = sorted(data.draw(st.lists(st.integers(0, d.T), min_size=3, max_size=3)))
         eng = IntervalCostEngine(d)
         built = [_snapshot(step) for step in eng.steps]
-        left, right = eng.state_for_interval(a, c), eng.state_for_interval(c, z)
+        left, right = state_for_interval(eng, a, c), state_for_interval(eng, c, z)
         before = [_snapshot(x) for x in (left, right)]
         got = MarginState.merged(left, right, eng.lgt)
-        want = eng.state_for_interval(a, z)
-        grown = eng.state_for_interval(a, c)
+        want = state_for_interval(eng, a, z)
+        grown = state_for_interval(eng, a, c)
         grown.add_counts(right, eng.lgt)  # a state of several steps added at once
         for state in (got, grown):
             assert (state.m, state.sum_d2) == (want.m, want.sum_d2)

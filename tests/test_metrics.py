@@ -15,7 +15,6 @@ from hyperbin import (
     gap_ratio_alpha,
     jsd_edges,
     parse_events,
-    posterior_log_ratio,
 )
 from hyperbin.synth import sample_positive_composition
 
@@ -142,13 +141,3 @@ class TestJsdEdges:
         with pytest.raises(ValueError):
             jsd_edges([])
 
-
-class TestPosteriorLogRatio:
-    def test_equal(self):
-        assert posterior_log_ratio(41.5, 41.5) == 0.0
-
-    def test_large_gap(self):
-        assert posterior_log_ratio(1400.0, 700.0) == 700.0
-
-    def test_antisymmetric(self):
-        assert posterior_log_ratio(3.25, 8.5) == -posterior_log_ratio(8.5, 3.25)

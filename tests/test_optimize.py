@@ -16,6 +16,8 @@ from helpers import (
     reference_greedy_run,
     sample_events,
     small_grids,
+    solve_bruteforce,
+    state_for_interval,
 )
 from hyperbin import (
     Binning,
@@ -27,7 +29,6 @@ from hyperbin import (
     discretize,
     discretize_on_grid,
     parse_events,
-    solve_bruteforce,
     solve_dp,
     solve_greedy,
     total_dl_exact,
@@ -174,7 +175,7 @@ class TestSolveDp:
                     ):
                         continue
                     total = sum(
-                        eng.interval_cost(a, z, eng.state_for_interval(a, z))
+                        eng.interval_cost(a, z, state_for_interval(eng, a, z))
                         for a, z in zip(bounds, bounds[1:])
                     )
                     ref = min(ref, total)
@@ -261,7 +262,7 @@ class TestDpProperties:
             for cuts in itertools.combinations(range(1, d.T), K - 1):
                 bounds = (0, *cuts, d.T)
                 spans = list(zip(bounds, bounds[1:]))
-                costs = [eng.interval_cost(a, z, eng.state_for_interval(a, z)) for a, z in spans]
+                costs = [eng.interval_cost(a, z, state_for_interval(eng, a, z)) for a, z in spans]
                 if math.inf in costs:
                     continue  # an eventless cluster: no binning to report
                 reported = total_dl_exact(d, Binning(tuple(z - a for a, z in spans))).per_cluster
@@ -397,7 +398,7 @@ class TestSolveGreedy:
         eng = IntervalCostEngine(d)
 
         def cost(a, z):
-            return eng.interval_cost(a, z, eng.state_for_interval(a, z))
+            return eng.interval_cost(a, z, state_for_interval(eng, a, z))
 
         left = cost(0, 2) - cost(0, 1) - cost(1, 2)
         right = cost(1, 3) - cost(1, 2) - cost(2, 3)

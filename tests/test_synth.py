@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import count_margin_matrices
 from hyperbin import (
     SynthParams,
     build_snapshot,
@@ -11,7 +12,6 @@ from hyperbin import (
     sample_positive_composition,
     sample_weak_composition,
 )
-from hyperbin.combinatorics import count_margin_matrices
 
 
 class TestPositiveComposition:
