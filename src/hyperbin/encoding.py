@@ -6,6 +6,11 @@ as multisets, stage 3 sends the weighted incidence matrix and the events
 given the margins (two matrix-count terms). The decoupled form replaces the
 stage-1 compositions with a per-cluster constant so the objective becomes a
 sum of independent cluster costs, which is what the optimizers minimize.
+
+Every cluster cost is priced from a MarginState, and every state starts
+from one grouping of consecutive events into value -> count dicts
+(_block_states): the engine groups them by occupied step, total_dl_exact
+by cluster.
 """
 
 from __future__ import annotations
@@ -15,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# nothing here calls ec_bits: it stays for perfbench/tracing.py, which wraps it by
-# name, and tests/test_perfbench_hooks.py checks that it resolves
+# nothing here calls ec_bits or build_snapshot: they stay for perfbench/tracing.py,
+# which wraps them by name, and tests/test_perfbench_hooks.py checks that they resolve
 from .combinatorics import LN2, ec_bits, log2_binomial  # noqa: F401
-from .events import (
-    Binning,
-    DiscretizedEvents,
-    induce_partition,
-    build_snapshot,
-)
+from .events import Binning, DiscretizedEvents, build_snapshot, induce_partition  # noqa: F401
 
 INF = math.inf
 
@@ -81,22 +81,21 @@ class DLBreakdown:
 def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
     """Exact three-stage description length of (d, b), with the decoupled form.
 
-    cluster_bits prices each cluster from a MarginState of its snapshot's
-    margins. Raises EmptyClusterError for binnings that leave a cluster
-    without events (the stage-1 code sends cluster sizes as positive integers).
+    cluster_bits prices each cluster from a MarginState built by _block_states,
+    as the engine builds its single-step states. Raises EmptyClusterError for
+    binnings that leave a cluster without events (the stage-1 code sends
+    cluster sizes as positive integers).
     """
     part = induce_partition(d, b)  # validates the binning
     N, T = d.base.N, d.T
     S, D = d.base.S, d.base.D
     const = decoupled_constant(N, T)
     lgt = lgamma_table(N, S, D, T).tolist()
-    stages = []  # (stage-2 bits, stage-3 bits) per cluster
-    for k in range(b.K):
-        snap = build_snapshot(d, b, k)
-        margins = (snap.source_margin, snap.dest_margin)
-        s_cnt, d_cnt = ({v: c for v, c in enumerate(x.tolist()) if c} for x in margins)
-        state = MarginState.of_counts(s_cnt, d_cnt, snap.edges, snap.step_counts.tolist(), lgt)
-        stages.append(cluster_bits(state, snap.tau_k, S, D, lgt))
+    # each cluster's occupied-step counts, cut where the next cluster starts
+    cuts = np.searchsorted(d.occupied_steps, b.starts()[1:])
+    step_counts = [c.tolist() for c in np.split(d.step_counts, cuts)]
+    states = _block_states(d, part.cluster_of_event, step_counts, lgt)
+    stages = [cluster_bits(state, w, S, D, lgt) for state, w in zip(states, b.widths)]
     L1 = stage1_dl(N, T, part.K)
     L2 = sum(l2 for l2, _ in stages)
     L3 = sum(l3 for _, l3 in stages)
@@ -110,6 +109,39 @@ def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
         decoupled_total=sum(per_cluster),
         per_cluster=per_cluster,
     )
+
+
+def _group_counts(block: np.ndarray, values: np.ndarray, n_blocks: int) -> list[dict]:
+    """One value -> count dict per block, in block order and with ascending
+    keys; `block` holds each value's block index, below `n_blocks`."""
+    width = int(values.max()) + 1
+    labels = None
+    if n_blocks * width >= 2**63:  # block * width + values would wrap in int64
+        labels, values = np.unique(values, return_inverse=True)
+        width = len(labels)
+    uniq, cnt = np.unique(block * width + values, return_counts=True)
+    vals = uniq % width
+    if labels is not None:
+        vals = labels[vals]
+    vals, cnts = vals.tolist(), cnt.tolist()
+    bounds = np.searchsorted(uniq // width, np.arange(n_blocks + 1)).tolist()
+    return [dict(zip(vals[b0:b1], cnts[b0:b1])) for b0, b1 in zip(bounds, bounds[1:])]
+
+
+def _block_states(d: DiscretizedEvents, block: np.ndarray, step_counts: list, lgt) -> list:
+    """MarginStates of the blocks of consecutive events that `block` numbers
+    (each event's block index); `step_counts[i]` lists the event counts of
+    block i's occupied steps, in step order. Sources, destinations and edges
+    are grouped into value -> count dicts with ascending keys."""
+    base = d.base
+    grouped = [
+        _group_counts(block, field, len(step_counts))
+        for field in (base.sources, base.dests, base.sources * base.D + base.dests)
+    ]
+    return [
+        MarginState.of_counts(s_cnt, d_cnt, g_cnt, counts, lgt)
+        for s_cnt, d_cnt, g_cnt, counts in zip(*grouped, step_counts)
+    ]
 
 
 def _add_weighted(cnt: dict, hist: dict, pairs, lgt, lg1: float) -> float:
@@ -321,28 +353,7 @@ class IntervalCostEngine:
         # per occupied step: events grouped into value -> count dicts, so a
         # state update costs O(distinct values), not O(events)
         rank = np.searchsorted(d.occupied_steps, d.step_of_event)
-        ev_key = base.sources * base.D + base.dests
-        grouped = [
-            self._group_by_rank(rank, field, len(self.occupied))
-            for field in (base.sources, base.dests, ev_key)
-        ]
-        self.steps = [
-            MarginState.of_counts(s_cnt, d_cnt, g_cnt, [m], self.lgt)
-            for s_cnt, d_cnt, g_cnt, m in zip(*grouped, d.step_counts.tolist())
-        ]
-
-    @staticmethod
-    def _group_by_rank(rank: np.ndarray, values: np.ndarray, n_occupied: int) -> list:
-        # one value -> count dict per occupied step, in step order and with
-        # ascending keys; `rank` holds each event's occupied-step rank
-        width = int(values.max()) + 1 if len(values) else 1
-        uniq, cnt = np.unique(rank * width + values, return_counts=True)
-        vals, cnts = (uniq % width).tolist(), cnt.tolist()
-        boundaries = np.searchsorted(uniq // width, np.arange(n_occupied + 1)).tolist()
-        return [
-            dict(zip(vals[b0:b1], cnts[b0:b1]))
-            for b0, b1 in zip(boundaries, boundaries[1:])
-        ]
+        self.steps = _block_states(d, rank, [[m] for m in d.step_counts.tolist()], self.lgt)
 
     def range_costs(self, starts: list[int], z: int) -> tuple[np.ndarray, np.ndarray]:
         """Cost and event count of every cluster [starts[p0], z) holding the
@@ -372,11 +383,10 @@ class IntervalCostEngine:
 
         `state` must hold the margins of exactly those steps' events, filled
         downward from `steps` as range_costs fills it (merged's other order
-        can move the cost by a few ulps); [a, z) gives only the width.
-        Returns +inf for eventless intervals (inadmissible clusters), else
-        the decoupled constant plus cluster_bits' two stages.
+        can move the cost by a few ulps); [a, z) gives only the width, and
+        must hold at least one event (a cluster without events is not
+        admissible, and no optimizer forms one). Returns the decoupled
+        constant plus cluster_bits' two stages.
         """
-        if state.m == 0:
-            return INF
         l2, l3 = cluster_bits(state, z - a, self.S, self.D, self.lgt)
         return self.const + l2 + l3

@@ -2,7 +2,8 @@
 
 Parsing and validation of (source, destination, time) interaction events,
 discretization onto a uniform timestep grid, binnings of the grid, the
-event partitions they induce, and per-bin hypergraph snapshots.
+event partitions they induce (stored as cluster sizes), and per-bin
+hypergraph snapshots (a bin's weighted edges, its event count and width).
 """
 
 from __future__ import annotations
@@ -294,27 +295,20 @@ class Binning:
 
 @dataclass(frozen=True)
 class EventPartition:
-    """Contiguous partition of the time-ordered events into K clusters."""
+    """Contiguous partition of the time-ordered events into K clusters of
+    the given sizes, each holding at least one event."""
 
-    cluster_of_event: np.ndarray
     sizes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cluster_of_event", np.asarray(self.cluster_of_event, dtype=np.int64)
-        )
         object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
-        if np.any(np.diff(self.cluster_of_event) < 0):
-            raise ValueError("cluster assignments must be contiguous in time")
         if self.sizes.min() < 1:
             raise EmptyClusterError("every cluster needs at least one event")
-        if int(self.sizes.sum()) != len(self.cluster_of_event):
-            raise ValueError("cluster sizes do not sum to the number of events")
 
-    @classmethod
-    def from_sizes(cls, sizes: Sequence[int]) -> "EventPartition":
-        m = np.asarray(sizes, dtype=np.int64)
-        return cls(cluster_of_event=np.repeat(np.arange(len(m)), m), sizes=m)
+    @property
+    def cluster_of_event(self) -> np.ndarray:
+        """Each event's cluster index, a length-N array built on demand."""
+        return np.repeat(np.arange(self.K), self.sizes)
 
     @property
     def K(self) -> int:
@@ -322,51 +316,39 @@ class EventPartition:
 
     @property
     def N(self) -> int:
-        return len(self.cluster_of_event)
+        return int(self.sizes.sum())
 
 
 def induce_partition(d: DiscretizedEvents, b: Binning) -> EventPartition:
     """Partition of the events induced by a binning of the timesteps."""
     if b.T != d.T:
         raise ValueError(f"binning covers {b.T} steps but the grid has {d.T}")
-    cuts = np.cumsum(b.widths)[:-1]
-    cluster = np.searchsorted(cuts, d.step_of_event, side="right")
-    sizes = np.bincount(cluster, minlength=b.K)
+    # events are sorted by step, so each cluster ends where its last step does
+    ends = np.searchsorted(d.step_of_event, np.cumsum(b.widths))
+    sizes = np.diff(ends, prepend=0)
     if sizes.min() < 1:
         empty = int(np.argmin(sizes))
         raise EmptyClusterError(f"cluster {empty} of binning {b.widths} holds no events")
-    return EventPartition(cluster_of_event=cluster, sizes=sizes)
+    return EventPartition(sizes)
 
 
 def build_snapshot(d: DiscretizedEvents, b: Binning, k: int) -> "HypergraphSnapshot":
     """Weighted incidence snapshot of cluster k under binning b."""
     if not 0 <= k < b.K:
         raise ValueError(f"cluster index {k} out of range for K={b.K}")
-    starts = b.starts()
-    a = starts[k]
+    a = b.starts()[k]
     z = a + b.widths[k]  # exclusive step end
     steps = d.step_of_event
     lo = int(np.searchsorted(steps, a, side="left"))
     hi = int(np.searchsorted(steps, z, side="left"))
     if hi <= lo:
         raise EmptyClusterError(f"cluster {k} of binning {b.widths} holds no events")
-    src = d.base.sources[lo:hi]
-    dst = d.base.dests[lo:hi]
     D = d.base.D
-    uniq, cnt = np.unique(src * D + dst, return_counts=True)
+    uniq, cnt = np.unique(d.base.sources[lo:hi] * D + d.base.dests[lo:hi], return_counts=True)
     edges = {
-        (int(k) // D, int(k) % D): int(c) for k, c in zip(uniq.tolist(), cnt.tolist())
+        (key // D, key % D): c for key, c in zip(uniq.tolist(), cnt.tolist())
     }
-    occupied, counts = np.unique(steps[lo:hi] - a, return_counts=True)
-    return HypergraphSnapshot(
-        edges=edges,
-        source_margin=np.bincount(src, minlength=d.base.S),
-        dest_margin=np.bincount(dst, minlength=d.base.D),
-        occupied_steps=occupied,
-        step_counts=counts,
-        m_k=hi - lo,
-        tau_k=b.widths[k],
-    )
+    return HypergraphSnapshot(edges=edges, m_k=hi - lo, tau_k=b.widths[k])
 
 
 @dataclass(frozen=True)
@@ -374,17 +356,13 @@ class HypergraphSnapshot:
     """Weighted bipartite incidence of one temporal bin.
 
     `edges[(s, d)]` counts events pairing source s with destination d inside
-    the bin; the margins are the per-source and per-destination event
-    counts. The time margin is kept sparse: `occupied_steps` are the bin's
-    event-bearing steps as offsets from its first step (ascending, below
-    tau_k) and `step_counts` their event counts. Every margin sums to m_k.
+    the bin, in ascending (s, d) order; the weights sum to m_k, the bin's
+    event count, and tau_k is its width in steps. Nothing here is sized by
+    the label alphabets: a bin's margins follow from `edges`, its time
+    margin from the grid's `occupied_steps` and `step_counts`.
     """
 
     edges: dict[tuple[int, int], int]
-    source_margin: np.ndarray
-    dest_margin: np.ndarray
-    occupied_steps: np.ndarray
-    step_counts: np.ndarray
     m_k: int
     tau_k: int
 

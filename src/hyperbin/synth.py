@@ -307,7 +307,7 @@ def generate_synthetic(p: SynthParams) -> SynthResult:
     return SynthResult(
         events=ev,
         binning=Binning(tuple(int(w) for w in tau)),
-        partition=EventPartition.from_sizes(m),
+        partition=EventPartition(m),
         discretized=discretize_on_grid(ev, p.T, 0.0, 1.0),
         params=p,
     )

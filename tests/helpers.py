@@ -174,10 +174,10 @@ def state_for_interval(eng: IntervalCostEngine, a: int, z: int) -> MarginState:
 def solve_bruteforce(d) -> BinningResult:
     """Exhaustive minimum over all compositions of T (test oracle).
 
-    A composition with an eventless cluster costs +inf (interval_cost), so
-    it never wins. Ties prefer fewer clusters, then lexicographically
-    smallest widths (which is the enumeration order, so the first strict
-    minimum wins).
+    A composition with an eventless cluster is infeasible: interval_cost
+    prices only clusters that hold events. Ties prefer fewer clusters, then
+    lexicographically smallest widths (which is the enumeration order, so
+    the first strict minimum wins).
     """
     t0 = time.perf_counter()
     T = d.T
@@ -190,10 +190,14 @@ def solve_bruteforce(d) -> BinningResult:
     for K in range(1, T + 1):
         for cuts in itertools.combinations(range(1, T), K - 1):
             bounds = (0,) + cuts + (T,)
-            dl = 0.0  # +inf when some cluster holds no events
+            dl = 0.0
             for k in range(K):
                 a, z = bounds[k], bounds[k + 1]
-                dl += eng.interval_cost(a, z, state_for_interval(eng, a, z))
+                state = state_for_interval(eng, a, z)
+                if state.m == 0:  # an eventless cluster: infeasible
+                    dl = INF
+                    break
+                dl += eng.interval_cost(a, z, state)
             if dl < best_dl:
                 best_dl = dl
                 best_widths = tuple(bounds[k + 1] - bounds[k] for k in range(K))

@@ -24,7 +24,7 @@ from hyperbin import (
     stage1_dl,
     total_dl_exact,
 )
-from hyperbin.encoding import MarginState, _width_bits
+from hyperbin.encoding import MarginState, _group_counts, _width_bits
 
 
 class TestNaiveDl:
@@ -179,12 +179,11 @@ class TestIntervalCostEngine:
             for _ in range(6):
                 a = int(rng.integers(0, t))
                 z = int(rng.integers(a + 1, t + 1))
-                got = eng.interval_cost(a, z, state_for_interval(eng, a, z))
-                want = self._reference_cost(d, a, z)
-                if math.isinf(want):
-                    assert math.isinf(got)
-                else:
-                    assert got == pytest.approx(want, abs=1e-9)
+                state = state_for_interval(eng, a, z)
+                if state.m == 0:
+                    continue  # an eventless interval is no cluster
+                got = eng.interval_cost(a, z, state)
+                assert got == pytest.approx(self._reference_cost(d, a, z), abs=1e-9)
 
     @staticmethod
     def _reference_cost(d, a, z):
@@ -194,8 +193,6 @@ class TestIntervalCostEngine:
         lo = int(np.searchsorted(steps, a, side="left"))
         hi = int(np.searchsorted(steps, z, side="left"))
         m = hi - lo
-        if m == 0:
-            return math.inf
         base = d.base
         s_m = np.bincount(base.sources[lo:hi], minlength=base.S)
         d_m = np.bincount(base.dests[lo:hi], minlength=base.D)
@@ -324,28 +321,30 @@ def unit_grid_events(draw):
 
 
 @st.composite
-def ranked_values(draw):
-    """Per-event occupied-step ranks and values, the values below 1, 2, 6,
-    256, 257, 301 or 70,001 (a bound of 1 is a one-value alphabet)."""
-    n_occupied, n = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+def blocked_values(draw):
+    """Values with their block indices, the values below 1, 2, 6, 256, 257,
+    301 or 70,001 (a bound of 1 is a one-value alphabet)."""
+    n_blocks, n = draw(st.integers(1, 8)), draw(st.integers(1, 60))
     top = draw(st.sampled_from([0, 1, 5, 255, 256, 300, 70_000]))
-    rank = draw(st.lists(st.integers(0, n_occupied - 1), min_size=n, max_size=n))
+    block = draw(st.lists(st.integers(0, n_blocks - 1), min_size=n, max_size=n))
     values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
-    return rank, values, n_occupied
+    return block, values, n_blocks
 
 
 class TestEngineProperties:
     @settings(max_examples=300, deadline=None)
-    @given(case=ranked_values())
+    @given(case=blocked_values())
     @example(case=([0, 2, 2, 1, 0], [0] * 5, 3))  # a one-value alphabet
-    def test_group_by_rank_equals_a_per_step_counter(self, case):
-        rank, values, n_occupied = case
-        got = IntervalCostEngine._group_by_rank(
-            np.array(rank, dtype=np.int64), np.array(values, dtype=np.int64), n_occupied
+    @example(case=([0, 1, 2], [2**62, 0, 5], 3))  # block * (max value + 1) passes int64
+    @example(case=([0, 0, 1, 1], [2**62, 3, 2**62, 2**62 - 1], 2))
+    def test_group_counts_equals_a_per_block_counter(self, case):
+        block, values, n_blocks = case
+        got = _group_counts(
+            np.array(block, dtype=np.int64), np.array(values, dtype=np.int64), n_blocks
         )
         want = [
-            sorted(Counter(v for r, v in zip(rank, values) if r == p).items())
-            for p in range(n_occupied)
+            sorted(Counter(v for r, v in zip(block, values) if r == p).items())
+            for p in range(n_blocks)
         ]
         assert [list(cnt.items()) for cnt in got] == want  # the same pairs, ascending
         assert all(type(x) is int for cnt in got for pair in cnt.items() for x in pair)
@@ -356,12 +355,12 @@ class TestEngineProperties:
         eng = IntervalCostEngine(d)
         for a in range(d.T):
             for z in range(a + 1, d.T + 1):
-                got = eng.interval_cost(a, z, state_for_interval(eng, a, z))
+                state = state_for_interval(eng, a, z)
+                if state.m == 0:
+                    continue  # an eventless interval is no cluster
+                got = eng.interval_cost(a, z, state)
                 want = TestIntervalCostEngine._reference_cost(d, a, z)
-                if math.isinf(want):
-                    assert math.isinf(got)
-                else:
-                    assert abs(got - want) <= 1e-9, (a, z, got, want)
+                assert abs(got - want) <= 1e-9, (a, z, got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(d=unit_grid_events(), data=st.data())

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from datetime import timezone
 
 import numpy as np
@@ -253,6 +255,35 @@ class TestInducePartition:
         with pytest.raises(ValueError):
             induce_partition(d, Binning((7, 4)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(d=small_grids(), data=st.data())
+    def test_sizes_equal_the_per_event_cluster_count(self, d, data):
+        # any composition of T, eventless clusters included, against a count
+        # of each event's cluster
+        cuts = data.draw(st.sets(st.integers(1, d.T - 1)) if d.T > 1 else st.just(set()))
+        w = np.diff([0, *sorted(cuts), d.T])
+        b = Binning(tuple(w.tolist()))
+        cluster = np.searchsorted(np.cumsum(w)[:-1], d.step_of_event, side="right")
+        want = np.bincount(cluster, minlength=b.K)
+        if want.min() > 0:
+            part = induce_partition(d, b)
+            assert part.sizes.tolist() == want.tolist()
+            assert part.cluster_of_event.tolist() == cluster.tolist()
+            assert (part.K, part.N) == (b.K, d.base.N)
+        else:
+            empty = int(np.flatnonzero(want == 0)[0])
+            with pytest.raises(EmptyClusterError, match=f"^cluster {empty} of binning"):
+                induce_partition(d, b)
+
+
+def _margins(snap):
+    """A snapshot's source and destination margins, as Counters of its edges."""
+    src, dst = Counter(), Counter()
+    for (s, t), w in snap.edges.items():
+        src[s] += w
+        dst[t] += w
+    return src, dst
+
 
 class TestBuildSnapshot:
     def test_first_cluster(self):
@@ -263,10 +294,9 @@ class TestBuildSnapshot:
             (ev.source_labels[s], ev.dest_labels[t]): w for (s, t), w in snap.edges.items()
         }
         assert labeled == {("3", "A"): 3, ("3", "C"): 1, ("4", "A"): 1, ("4", "C"): 1}
-        by_label = dict(zip(ev.source_labels, snap.source_margin.tolist()))
-        assert [by_label[k] for k in ("1", "2", "3", "4")] == [0, 0, 4, 2]
-        by_label = dict(zip(ev.dest_labels, snap.dest_margin.tolist()))
-        assert [by_label[k] for k in ("A", "B", "C")] == [4, 0, 2]
+        src, dst = _margins(snap)
+        assert [src[ev.source_labels.index(k)] for k in ("1", "2", "3", "4")] == [0, 0, 4, 2]
+        assert [dst[ev.dest_labels.index(k)] for k in ("A", "B", "C")] == [4, 0, 2]
         assert snap.tau_k == 7 and snap.m_k == 6
 
     def test_second_cluster(self):
@@ -284,8 +314,7 @@ class TestBuildSnapshot:
         snap = build_snapshot(d, Binning((5, 5)), 0)
         assert snap.m_k == 1
         assert list(snap.edges.values()) == [1]
-        assert snap.source_margin.sum() == 1 and snap.dest_margin.sum() == 1
-        assert (snap.occupied_steps.tolist(), snap.step_counts.tolist()) == ([0], [1])
+        assert snap.edges == {(0, 0): 1}
 
     def test_conservation(self):
         rng = np.random.default_rng(5)
@@ -296,16 +325,39 @@ class TestBuildSnapshot:
         total = 0
         for k, a in enumerate(b.starts()):
             snap = build_snapshot(d, b, k)
-            dense = d.events_in_step[a : a + b.widths[k]]  # the dense time margin
-            assert sum(snap.edges.values()) == snap.m_k
-            assert snap.source_margin.sum() == snap.m_k
-            assert snap.dest_margin.sum() == snap.m_k
-            assert snap.occupied_steps.tolist() == np.flatnonzero(dense).tolist()
-            assert snap.step_counts.tolist() == dense[dense > 0].tolist()
-            assert snap.step_counts.sum() == snap.m_k
-            assert 0 <= snap.occupied_steps[0] and snap.occupied_steps[-1] < snap.tau_k
+            lo = int(part.sizes[:k].sum())
+            hi = lo + int(part.sizes[k])
+            src, dst = _margins(snap)
+            assert sum(snap.edges.values()) == snap.m_k == hi - lo
+            assert list(snap.edges) == sorted(snap.edges)
+            assert src == Counter(ev.sources[lo:hi].tolist())
+            assert dst == Counter(ev.dests[lo:hi].tolist())
+            assert snap.tau_k == b.widths[k]
+            assert a <= d.step_of_event[lo] and d.step_of_event[hi - 1] < a + snap.tau_k
             total += snap.m_k
         assert total == 200
+
+    def test_memory_free_of_alphabet_size(self):
+        # two events over 2,000,000 sources and destinations: a snapshot holds
+        # its edges, not margins over the whole alphabet (two dense int64
+        # margins would take 32 MB)
+        n_labels = 2_000_000
+        ev = EventSet(
+            sources=[0, n_labels - 1],
+            dests=[n_labels - 1, 0],
+            times=[0.5, 1.5],
+            source_labels=("s",) * n_labels,
+            dest_labels=("d",) * n_labels,
+        )
+        d = discretize_on_grid(ev, 2, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            snap = build_snapshot(d, Binning((2,)), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert snap.edges == {(0, n_labels - 1): 1, (n_labels - 1, 0): 1}
+        assert peak < 1_000_000
 
 
 class TestCanonicalBinning:

@@ -20,7 +20,7 @@ from hyperbin.synth import sample_positive_composition
 
 
 def partition(sizes):
-    return EventPartition.from_sizes(sizes)
+    return EventPartition(sizes)
 
 
 class TestCcami:

@@ -201,20 +201,19 @@ class TestGenerateSynthetic:
             rng = np.random.default_rng(seed)
             m = sample_positive_composition(p.N, p.K, rng)
             tau = sample_positive_composition(p.T, p.K, rng)
-            for k in range(p.K):
+            for k, a in enumerate(res.binning.starts()):
                 n_k = sample_weak_composition(int(m[k]), int(tau[k]), rng)
                 s_k = sample_dirichlet_multinomial(int(m[k]), p.S, p.gamma, rng)
                 d_k = sample_dirichlet_multinomial(int(m[k]), p.D, p.gamma, rng)
                 table = sample_contingency_table(s_k, d_k, rng)
                 rng.permutation(int(m[k]))  # keep the stream aligned
                 snap = build_snapshot(d, res.binning, k)
-                assert snap.source_margin.tolist() == s_k.tolist()
-                assert snap.dest_margin.tolist() == d_k.tolist()
-                assert snap.occupied_steps.tolist() == np.flatnonzero(n_k).tolist()
-                assert snap.step_counts.tolist() == n_k[n_k > 0].tolist()
                 got = np.zeros((p.S, p.D), dtype=int)
                 for (s, t), w in snap.edges.items():
                     got[s, t] = w
+                assert got.sum(axis=1).tolist() == s_k.tolist()
+                assert got.sum(axis=0).tolist() == d_k.tolist()
+                assert d.events_in_step[a : a + int(tau[k])].tolist() == n_k.tolist()
                 assert got.tolist() == table.tolist()
 
     def test_seeded_determinism(self):
