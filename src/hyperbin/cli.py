@@ -59,24 +59,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _result_entry(d: DiscretizedEvents, res: BinningResult) -> dict:
     canon = res.binning_canonical
-    starts = canon.starts()
+    bounds = canon.bounds
     boundaries = []
     clusters = []
     src_labels = d.base.source_labels
     dst_labels = d.base.dest_labels
     for k, w in enumerate(canon.widths):
-        a = starts[k]
         boundaries.append(
             {
-                "t_min": d.origin + a * d.delta_t,
-                "t_max": d.origin + (a + w) * d.delta_t,
+                "t_min": d.origin + bounds[k] * d.delta_t,
+                "t_max": d.origin + bounds[k + 1] * d.delta_t,
             }
         )
-        snap = build_snapshot(d, canon, k)
-        edges = [
-            [src_labels[s], dst_labels[t], int(wt)]
-            for (s, t), wt in sorted(snap.edges.items())
-        ]
+        snap = build_snapshot(d, canon, k)  # edges in ascending (s, d) order
+        edges = [[src_labels[s], dst_labels[t], int(wt)] for (s, t), wt in snap.edges.items()]
         clusters.append({"m_k": int(snap.m_k), "tau_k": int(w), "edges": edges})
     return {
         "method": res.method,
@@ -102,7 +98,7 @@ def _write_series_csv(path: Path, d: DiscretizedEvents, results: list[BinningRes
     each covering steps [step_start, step_end). A run is split wherever a
     method starts a cluster, so a method's boundary flag is 1 exactly on the
     rows that open one of its clusters."""
-    start_sets = [set(res.binning_canonical.starts()) for res in results]
+    start_sets = [set(res.binning_canonical.bounds[:-1]) for res in results]
     counts = dict(zip(d.occupied_steps.tolist(), d.step_counts.tolist()))
     cuts = sorted({0, d.T}.union(*start_sets, counts, [t + 1 for t in counts]))
     with open(path, "w", newline="", encoding="utf-8") as fh:

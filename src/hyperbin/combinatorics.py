@@ -1,9 +1,11 @@
 """Log-space combinatorial primitives.
 
-Binomial and multiset coefficients through log-gamma, the effective-columns
-estimate of the number of non-negative integer matrices with fixed row and
-column margins, and the exact count of such matrices by column fills, which
-synth's exact-uniform sampler walks.
+Binomial and multiset coefficients through log-gamma, with one Stirling
+series (log_rising) for the differences of two large log-gammas, which
+cancel when taken plainly; the effective-columns estimate of the number of
+non-negative integer matrices with fixed row and column margins; and the
+exact count of such matrices by column fills, which synth's exact-uniform
+sampler walks.
 """
 
 from __future__ import annotations
@@ -17,13 +19,32 @@ LN2 = math.log(2.0)
 EXACT_MAX_TOTAL = 40
 EXACT_MAX_MIN_DIM = 6
 
+# the smallest x that log_rising takes
+SERIES_MIN = 5000
+
+
+def log_rising(x: float, m: int) -> float:
+    """lgamma(x + m) - lgamma(x) in nats, the log of x (x + 1) ... (x + m - 1),
+    at x >= SERIES_MIN and m >= 0: Stirling's series for the difference,
+    written with log1p, which omits less than 1e-21 nats there. The plain
+    difference of two lgammas of that size cancels."""
+    t, top = float(x), float(x + m)
+    return (
+        (t - 0.5) * math.log1p(m / t) + m * math.log(top) - m
+        + 1 / (12 * top) - 1 / (12 * t) - 1 / (360 * top**3) + 1 / (360 * t**3)
+    )
+
 
 def log2_binomial(n: int, k: int) -> float:
-    """Base-2 log of C(n, k), via log-gamma."""
+    """Base-2 log of C(n, k), via log-gamma, or via log_rising once
+    n - min(k, n - k) + 1 reaches SERIES_MIN."""
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"log2_binomial needs 0 <= k <= n, got n={n}, k={k}")
     if k == 0 or k == n:
         return 0.0
+    j = min(k, n - k)
+    if n - j + 1 >= SERIES_MIN:
+        return (log_rising(n - j + 1, j) - math.lgamma(j + 1)) / LN2
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 
 
@@ -32,6 +53,7 @@ def log2_multiset(y: float, x: int) -> float:
 
     `y` (the number of bins) may be any positive real: the effective-columns
     estimator plugs in non-integer bin counts. `x` is the number of items.
+    From y = SERIES_MIN on, lgamma(x + y) - lgamma(y) comes from log_rising.
     """
     if y <= 0:
         raise ValueError(f"log2_multiset needs y > 0, got y={y}")
@@ -39,6 +61,8 @@ def log2_multiset(y: float, x: int) -> float:
         raise ValueError(f"log2_multiset needs x >= 0, got x={x}")
     if x == 0:
         return 0.0
+    if y >= SERIES_MIN:
+        return (log_rising(y, x) - math.lgamma(x + 1)) / LN2
     return (math.lgamma(x + y) - math.lgamma(y) - math.lgamma(x + 1)) / LN2
 
 

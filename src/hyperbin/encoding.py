@@ -22,7 +22,7 @@ import numpy as np
 
 # nothing here calls ec_bits or build_snapshot: they stay for perfbench/tracing.py,
 # which wraps them by name, and tests/test_perfbench_hooks.py checks that they resolve
-from .combinatorics import LN2, ec_bits, log2_binomial  # noqa: F401
+from .combinatorics import LN2, ec_bits, log2_binomial, log_rising  # noqa: F401
 from .events import Binning, DiscretizedEvents, build_snapshot, induce_partition  # noqa: F401
 
 INF = math.inf
@@ -92,7 +92,7 @@ def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
     const = decoupled_constant(N, T)
     lgt = lgamma_table(N, S, D, T).tolist()
     # each cluster's occupied-step counts, cut where the next cluster starts
-    cuts = np.searchsorted(d.occupied_steps, b.starts()[1:])
+    cuts = np.searchsorted(d.occupied_steps, b.bounds[1:-1])
     step_counts = [c.tolist() for c in np.split(d.step_counts, cuts)]
     states = _block_states(d, part.cluster_of_event, step_counts, lgt)
     stages = [cluster_bits(state, w, S, D, lgt) for state, w in zip(states, b.widths)]
@@ -251,19 +251,13 @@ def _width_bits(m: int, tau: int, lgt: list) -> float:
     """IntervalCostEngine.width_bits of one pair: log2 of tau (tau + 1) ...
     (tau + m - 1), from the table when m + tau is in it. A width past the
     table is at least TABLE_STEPS + 3 (m is at most N, and the table holds
-    N + min(T, TABLE_STEPS) + 3 entries), where Stirling's series for
-    lgamma(tau + m) - lgamma(tau), written with log1p, omits less than
-    1e-21 nats; the plain difference of two lgammas cancels (42 events on
-    1e18 steps read 0 bits, not 2511)."""
+    N + min(T, TABLE_STEPS) + 3 entries), in the domain of
+    combinatorics.log_rising; the plain difference of two lgammas cancels
+    (42 events on 1e18 steps read 0 bits, not 2511)."""
     top = m + tau
     if top < len(lgt):
         return (lgt[top] - lgt[tau]) / LN2
-    t, x = float(tau), float(top)
-    nats = (
-        (t - 0.5) * math.log1p(m / t) + m * math.log(x) - m
-        + 1 / (12 * x) - 1 / (12 * t) - 1 / (360 * x**3) + 1 / (360 * t**3)
-    )
-    return nats / LN2
+    return log_rising(tau, m) / LN2
 
 
 def _ec(m, nr, nc, row_hist, lg_r1, lg_c1, sc2, lg_cols_shift, lgt) -> float:

@@ -9,8 +9,10 @@ hypergraph snapshots (a bin's weighted edges, its event count and width).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -25,13 +27,15 @@ class EmptyClusterError(ValueError):
     """Raised when a binning would leave some cluster without any event."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSet:
     """Time-ordered bipartite interaction events with dense integer ids.
 
     `sources[i]`, `dests[i]`, `times[i]` describe event i; ids index into
-    `source_labels` / `dest_labels`. Events are sorted by time, ties keeping
-    input order. Immutable after construction.
+    `source_labels` / `dest_labels` and must have an integer dtype. Events
+    are sorted by time, ties keeping input order. Immutable after
+    construction; instances compare and hash by identity, since their
+    ndarray fields cannot compare by value.
     """
 
     sources: np.ndarray
@@ -41,13 +45,18 @@ class EventSet:
     dest_labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", np.asarray(self.sources, dtype=np.int64))
-        object.__setattr__(self, "dests", np.asarray(self.dests, dtype=np.int64))
+        sources, dests = np.asarray(self.sources), np.asarray(self.dests)
         object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        if self.sources.ndim != 1 or len(self.sources) == 0:
+        if sources.ndim != 1 or len(sources) == 0:
             raise EventDataError("event set needs at least one event")
-        if not (len(self.sources) == len(self.dests) == len(self.times)):
+        if not (len(sources) == len(dests) == len(self.times)):
             raise EventDataError("sources, dests and times must have equal length")
+        if sources.dtype.kind not in "iu" or dests.dtype.kind not in "iu":  # no silent truncation
+            raise EventDataError(
+                f"source and destination ids need an integer dtype, got {sources.dtype} and {dests.dtype}"
+            )
+        object.__setattr__(self, "sources", sources.astype(np.int64, copy=False))
+        object.__setattr__(self, "dests", dests.astype(np.int64, copy=False))
         if not np.all(np.isfinite(self.times)):
             raise EventDataError("event times must be finite")
         if np.any(self.times[1:] < self.times[:-1]):  # a difference can overflow
@@ -186,7 +195,7 @@ class DiscretizedEvents:
     so the rounding distortion is at most delta_t / 2. Only the occupied
     steps are stored: `occupied_steps` (ascending) and `step_counts` (their
     event counts), so nothing here grows with T. Instances compare and
-    hash by identity, so a dataset can key a weak cache.
+    hash by identity, since their ndarray fields cannot compare by value.
     """
 
     base: EventSet
@@ -267,15 +276,29 @@ def discretize_on_grid(ev: EventSet, T: int, origin: float, delta_t: float) -> D
 
 @dataclass(frozen=True)
 class Binning:
-    """Ordered positive timestep-interval widths partitioning the grid."""
+    """Ordered positive timestep-interval widths partitioning the grid.
+
+    Each width is an integer (anything `operator.index` takes, but not a
+    bool). `bounds` holds the K + 1 cut positions, derived once: cluster k
+    covers steps [bounds[k], bounds[k + 1]), and bounds[-1] is T. Binnings
+    compare and hash by their widths.
+    """
 
     widths: tuple[int, ...]
+    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.widths)
-        object.__setattr__(self, "widths", widths)
+        widths = tuple(self.widths)
+        try:  # operator.index refuses floats, but takes bools
+            if any(isinstance(w, bool) for w in widths):
+                raise TypeError
+            widths = tuple(map(operator.index, widths))
+        except TypeError:
+            raise ValueError(f"bin widths must be integers, got {widths}") from None
         if not widths or min(widths) < 1:
             raise ValueError(f"bin widths must be positive integers, got {widths}")
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "bounds", (0, *itertools.accumulate(widths)))
 
     @property
     def K(self) -> int:
@@ -283,20 +306,14 @@ class Binning:
 
     @property
     def T(self) -> int:
-        return sum(self.widths)
-
-    def starts(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for w in self.widths:
-            out.append(acc)
-            acc += w
-        return tuple(out)
+        return self.bounds[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventPartition:
     """Contiguous partition of the time-ordered events into K clusters of
-    the given sizes, each holding at least one event."""
+    the given sizes, each holding at least one event. A partition is its
+    sizes: two compare equal, and hash alike, when their sizes do."""
 
     sizes: np.ndarray
 
@@ -304,6 +321,14 @@ class EventPartition:
         object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
         if self.sizes.min() < 1:
             raise EmptyClusterError("every cluster needs at least one event")
+
+    def __eq__(self, other):
+        if not isinstance(other, EventPartition):
+            return NotImplemented
+        return np.array_equal(self.sizes, other.sizes)
+
+    def __hash__(self):
+        return hash(tuple(self.sizes.tolist()))
 
     @property
     def cluster_of_event(self) -> np.ndarray:
@@ -324,7 +349,7 @@ def induce_partition(d: DiscretizedEvents, b: Binning) -> EventPartition:
     if b.T != d.T:
         raise ValueError(f"binning covers {b.T} steps but the grid has {d.T}")
     # events are sorted by step, so each cluster ends where its last step does
-    ends = np.searchsorted(d.step_of_event, np.cumsum(b.widths))
+    ends = np.searchsorted(d.step_of_event, b.bounds[1:])
     sizes = np.diff(ends, prepend=0)
     if sizes.min() < 1:
         empty = int(np.argmin(sizes))
@@ -336,8 +361,7 @@ def build_snapshot(d: DiscretizedEvents, b: Binning, k: int) -> "HypergraphSnaps
     """Weighted incidence snapshot of cluster k under binning b."""
     if not 0 <= k < b.K:
         raise ValueError(f"cluster index {k} out of range for K={b.K}")
-    a = b.starts()[k]
-    z = a + b.widths[k]  # exclusive step end
+    a, z = b.bounds[k], b.bounds[k + 1]  # z is exclusive
     steps = d.step_of_event
     lo = int(np.searchsorted(steps, a, side="left"))
     hi = int(np.searchsorted(steps, z, side="left"))

@@ -9,7 +9,6 @@ duration or equal event counts.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Literal
 
@@ -37,9 +36,6 @@ Method = Literal["exact_dp", "greedy", "uniform_duration", "uniform_count"]
 # two costs within this many bits are a tie, settled by a rule rather than by
 # float rounding (criterion 1's tolerance)
 TIE_BITS = 1e-9
-
-# each dataset's single-cluster DL, kept only while the dataset lives
-_SINGLE_DL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,12 @@ def _finish(
     runtime: float,
     cap_at_single: bool = False,
 ) -> BinningResult:
+    """The result of `binning`: its exact description length, and its eta
+    against the single cluster, priced here too. With `cap_at_single` the
+    single cluster replaces a binning that reports more bits than it."""
     dl = total_dl_exact(d, binning)
     single = Binning((d.T,))
-    if d not in _SINGLE_DL:
-        _SINGLE_DL[d] = total_dl_exact(d, single)
-    single_dl = _SINGLE_DL[d]
+    single_dl = total_dl_exact(d, single)
     ref = single_dl.decoupled_total
     if cap_at_single and dl.decoupled_total > ref:
         # The optimizer examined the single-cluster solution, so it must never

@@ -367,7 +367,7 @@ def test_criterion_8_generator_distribution_suite():
         d = res.discretized
         part = induce_partition(d, res.binning)
         round_trip_ok &= part.sizes.tolist() == res.partition.sizes.tolist()
-        for k, (a, w) in enumerate(zip(res.binning.starts(), res.binning.widths)):
+        for k, (a, w) in enumerate(zip(res.binning.bounds[:-1], res.binning.widths)):
             snap = build_snapshot(d, res.binning, k)
             round_trip_ok &= int(snap.m_k) == int(res.partition.sizes[k])
             round_trip_ok &= int(d.events_in_step[a : a + w].sum()) == int(snap.m_k)

@@ -217,7 +217,7 @@ class TestBinCommand:
             events += [int(r[4])] + [0] * (z - a - 1)
             flags += [[int(x) for x in r[5:]]] + [[0] * len(results)] * (z - a - 1)
         assert events == d.events_in_step.tolist()
-        starts = [res.binning_canonical.starts() for res in results]
+        starts = [res.binning_canonical.bounds[:-1] for res in results]
         assert flags == [[int(t in s) for s in starts] for t in range(d.T)]
 
     def test_auto_t(self, tmp_path):

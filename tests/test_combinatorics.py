@@ -42,6 +42,16 @@ class TestLog2Binomial:
         n, k = 10**6, 1234
         assert log2_binomial(n, k) == pytest.approx(math.log2(math.comb(n, k)), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "n, k",
+        [(10**6, 10), (10**9, 10), (10**12, 10), (2**53 - 1, 10), (2**53 - 1, 11), (199_999, 7)],
+    )
+    def test_huge_n_does_not_cancel(self, n, k):
+        # a plain difference of lgamma(n + 1) and lgamma(n - k + 1) is off by
+        # 1.6e-9 bits at n = 1e6 and by 88.6 bits at n = 2**53 - 1, k = 11
+        assert abs(log2_binomial(n, k) - math.log2(math.comb(n, k))) < 1e-10
+        assert log2_binomial(n, n - k) == log2_binomial(n, k)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             log2_binomial(3, 4)
@@ -59,6 +69,12 @@ class TestLog2Multiset:
     def test_matches_exact_binomial(self):
         assert log2_multiset(5, 6) == pytest.approx(math.log2(math.comb(10, 4)), rel=1e-12)
         assert math.comb(10, 4) == 210
+
+    @pytest.mark.parametrize("y", [1e6, 1e12])
+    def test_many_bins_do_not_cancel(self, y):
+        # ((y multichoose 42)) = y (y + 1) ... (y + 41) / 42!
+        exact = math.fsum(math.log2(y + i) - math.log2(i + 1) for i in range(42))
+        assert abs(log2_multiset(y, 42) - exact) < 1e-10
 
     def test_rejects_nonpositive_bins(self):
         with pytest.raises(ValueError):

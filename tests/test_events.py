@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 from datetime import timezone
@@ -22,6 +23,7 @@ from hyperbin import (
     Binning,
     EmptyClusterError,
     EventDataError,
+    EventPartition,
     EventSet,
     build_snapshot,
     canonical_binning,
@@ -76,6 +78,23 @@ class TestParseEvents:
     def test_empty_input(self):
         with pytest.raises(EventDataError):
             parse_events([])
+
+    def test_event_set_rejects_float_ids(self):
+        with pytest.raises(EventDataError, match="integer dtype"):
+            EventSet(sources=[0.7, 1.9], dests=[0, 1], times=[1.0, 2.0],
+                     source_labels=("a", "b"), dest_labels=("x", "y"))
+        with pytest.raises(EventDataError, match="integer dtype"):
+            EventSet(sources=[0, 1], dests=[True, False], times=[1.0, 2.0],
+                     source_labels=("a", "b"), dest_labels=("x", "y"))
+
+    def test_event_set_without_events_says_so(self):
+        with pytest.raises(EventDataError, match="at least one event"):
+            EventSet(sources=[], dests=[], times=[], source_labels=("a",), dest_labels=("x",))
+
+    def test_event_sets_compare_by_identity(self):
+        a, b = sample_events(), sample_events()
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b}) == 2
 
     def test_duplicate_triples_allowed(self):
         ev = parse_events([("a", "x", 1.0), ("a", "x", 1.0)])
@@ -222,8 +241,29 @@ class TestBinning:
         with pytest.raises(ValueError):
             Binning((3, 0, 2))
 
-    def test_starts(self):
-        assert Binning((7, 5)).starts() == (0, 7)
+    @pytest.mark.parametrize("widths", [(1.5, 2.7), (True, 2), (2, 3.0), (np.float64(2),)])
+    def test_rejects_widths_that_are_no_integers(self, widths):
+        with pytest.raises(ValueError, match="integers"):
+            Binning(widths)
+
+    def test_takes_numpy_integers(self):
+        assert Binning(np.array([7, 5])).widths == (7, 5)
+
+    @given(st.lists(st.integers(1, 2**40), min_size=1, max_size=30))
+    def test_bounds_are_the_cumulative_widths(self, widths):
+        b = Binning(tuple(widths))
+        assert b.bounds == (0, *np.cumsum(widths).tolist())
+        assert b.T == sum(widths) and b.K == len(widths)
+        twin = Binning(list(widths))
+        assert twin == b and hash(twin) == hash(b)
+
+
+class TestEventPartition:
+    def test_equal_sizes_compare_equal_and_hash_alike(self):
+        a, b = EventPartition([1, 2]), EventPartition(np.array([1, 2]))
+        assert a == b and hash(a) == hash(b)
+        assert a != EventPartition([2, 1]) and a != EventPartition([1, 2, 1])
+        assert a != (1, 2)
 
 
 class TestInducePartition:
@@ -323,7 +363,7 @@ class TestBuildSnapshot:
         b = Binning((10, 10, 10))
         part = induce_partition(d, b)
         total = 0
-        for k, a in enumerate(b.starts()):
+        for k, a in enumerate(b.bounds[:-1]):
             snap = build_snapshot(d, b, k)
             lo = int(part.sizes[:k].sum())
             hi = lo + int(part.sizes[k])
@@ -336,6 +376,31 @@ class TestBuildSnapshot:
             assert a <= d.step_of_event[lo] and d.step_of_event[hi - 1] < a + snap.tau_k
             total += snap.m_k
         assert total == 200
+
+    def test_report_is_linear_in_k(self):
+        # one event per step: the snapshots of all K clusters take O(K) work
+        # to find their cuts, so 8x the clusters cost well under 64x the time
+        n = 16_000
+        ev = EventSet(
+            sources=np.zeros(n, dtype=np.int64),
+            dests=np.zeros(n, dtype=np.int64),
+            times=np.arange(n) + 0.5,
+            source_labels=("s",),
+            dest_labels=("d",),
+        )
+        d = discretize_on_grid(ev, n, 0.0, 1.0)
+
+        def seconds(K):
+            b = Binning((n // K,) * K)
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for k in range(K):
+                    build_snapshot(d, b, k)
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        assert seconds(8000) / seconds(1000) < 16
 
     def test_memory_free_of_alphabet_size(self):
         # two events over 2,000,000 sources and destinations: a snapshot holds
@@ -393,7 +458,7 @@ class TestCanonicalBinning:
         assert part.cluster_of_event.tolist() == induce_partition(d, b).cluster_of_event.tolist()
         # cluster 0 is pinned to step 0; every later one opens at its first event
         firsts = np.concatenate([[0], np.cumsum(part.sizes)[:-1]])
-        assert canon.starts() == (0,) + tuple(d.step_of_event[firsts[1:]].tolist())
+        assert canon.bounds[:-1] == (0,) + tuple(d.step_of_event[firsts[1:]].tolist())
 
 
 class TestCsvReader:

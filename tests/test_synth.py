@@ -201,7 +201,7 @@ class TestGenerateSynthetic:
             rng = np.random.default_rng(seed)
             m = sample_positive_composition(p.N, p.K, rng)
             tau = sample_positive_composition(p.T, p.K, rng)
-            for k, a in enumerate(res.binning.starts()):
+            for k, a in enumerate(res.binning.bounds[:-1]):
                 n_k = sample_weak_composition(int(m[k]), int(tau[k]), rng)
                 s_k = sample_dirichlet_multinomial(int(m[k]), p.S, p.gamma, rng)
                 d_k = sample_dirichlet_multinomial(int(m[k]), p.D, p.gamma, rng)
