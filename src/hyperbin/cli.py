@@ -64,14 +64,14 @@ def _result_entry(d: DiscretizedEvents, res: BinningResult) -> dict:
     clusters = []
     src_labels = d.base.source_labels
     dst_labels = d.base.dest_labels
-    for k, w in enumerate(canon.widths):
+    snaps = build_snapshot(d, canon)  # edges in ascending (s, d) order
+    for k, (w, snap) in enumerate(zip(canon.widths, snaps)):
         boundaries.append(
             {
                 "t_min": d.origin + bounds[k] * d.delta_t,
                 "t_max": d.origin + bounds[k + 1] * d.delta_t,
             }
         )
-        snap = build_snapshot(d, canon, k)  # edges in ascending (s, d) order
         edges = [[src_labels[s], dst_labels[t], int(wt)] for (s, t), wt in snap.edges.items()]
         clusters.append({"m_k": int(snap.m_k), "tau_k": int(w), "edges": edges})
     return {
@@ -224,7 +224,8 @@ def cmd_sweep(args: argparse.Namespace) -> Path:
         (N, T, K, gamma, rep, args.S, args.D, int(seed), methods)
         for (N, T, K, gamma, rep), seed in zip(combos, seeds)
     ]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool forks all its workers at the first submit, used or not
+    with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
         rows = [row for chunk in pool.map(_sweep_task, tasks) for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
     out = Path(args.output)
@@ -324,7 +325,7 @@ def cmd_metrics(args: argparse.Namespace) -> Path:
         for res in doc["results"]:
             binning = Binning(tuple(res["tau"]))
             part = induce_partition(d, binning)
-            snaps = [build_snapshot(d, binning, k) for k in range(binning.K)]
+            snaps = build_snapshot(d, binning)
             entries.append(
                 {
                     "file": str(path),
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin.add_argument("--T", type=_steps, default="auto", help=f'timestep count or "auto" (min(N, {TABLE_STEPS}))')
     p_bin.add_argument("--delta-t", type=_positive_float, default=None, help="timestep width (overrides --T)")
     p_bin.add_argument("--method", choices=["exact", "greedy", "both"], default="exact")
-    p_bin.add_argument("--K", type=_positive_int, default=None, help="cluster count for the baselines")
+    p_bin.add_argument("--K", type=_positive_int, default=None, help="cluster count for the baselines (needs --baselines)")
     p_bin.add_argument("--baselines", action="store_true")
     p_bin.set_defaults(run=cmd_bin)
 
@@ -449,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bin" and args.K is not None and not args.baselines:
+        parser.error("argument --K: sets the baselines' cluster count, so it needs --baselines")
     try:
         args.run(args)
     except (ValueError, OSError) as exc:

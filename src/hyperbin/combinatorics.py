@@ -25,9 +25,9 @@ SERIES_MIN = 5000
 
 def log_rising(x: float, m: int) -> float:
     """lgamma(x + m) - lgamma(x) in nats, the log of x (x + 1) ... (x + m - 1),
-    at x >= SERIES_MIN and m >= 0: Stirling's series for the difference,
-    written with log1p, which omits less than 1e-21 nats there. The plain
-    difference of two lgammas of that size cancels."""
+    at x >= SERIES_MIN and any real m > -1: Stirling's series for the
+    difference, written with log1p, which omits less than 1e-21 nats there.
+    The plain difference of two lgammas of that size cancels."""
     t, top = float(x), float(x + m)
     return (
         (t - 0.5) * math.log1p(m / t) + m * math.log(top) - m
@@ -53,7 +53,10 @@ def log2_multiset(y: float, x: int) -> float:
 
     `y` (the number of bins) may be any positive real: the effective-columns
     estimator plugs in non-integer bin counts. `x` is the number of items.
-    From y = SERIES_MIN on, lgamma(x + y) - lgamma(y) comes from log_rising.
+    Once x + 1 reaches max(y, SERIES_MIN), lgamma(x + y) - lgamma(x + 1)
+    comes from log_rising; otherwise, from y = SERIES_MIN on,
+    lgamma(x + y) - lgamma(y) does. Either way the plain difference, which
+    cancels, is never taken between two large lgammas.
     """
     if y <= 0:
         raise ValueError(f"log2_multiset needs y > 0, got y={y}")
@@ -61,6 +64,8 @@ def log2_multiset(y: float, x: int) -> float:
         raise ValueError(f"log2_multiset needs x >= 0, got x={x}")
     if x == 0:
         return 0.0
+    if x + 1 >= max(y, SERIES_MIN):
+        return (log_rising(x + 1, y - 1) - math.lgamma(y)) / LN2
     if y >= SERIES_MIN:
         return (log_rising(y, x) - math.lgamma(x + 1)) / LN2
     return (math.lgamma(x + y) - math.lgamma(y) - math.lgamma(x + 1)) / LN2

@@ -23,7 +23,7 @@ import numpy as np
 # nothing here calls ec_bits or build_snapshot: they stay for perfbench/tracing.py,
 # which wraps them by name, and tests/test_perfbench_hooks.py checks that they resolve
 from .combinatorics import LN2, ec_bits, log2_binomial, log_rising  # noqa: F401
-from .events import Binning, DiscretizedEvents, build_snapshot, induce_partition  # noqa: F401
+from .events import Binning, DiscretizedEvents, _group_counts, build_snapshot, induce_partition  # noqa: F401
 
 INF = math.inf
 
@@ -109,23 +109,6 @@ def total_dl_exact(d: DiscretizedEvents, b: Binning) -> DLBreakdown:
         decoupled_total=sum(per_cluster),
         per_cluster=per_cluster,
     )
-
-
-def _group_counts(block: np.ndarray, values: np.ndarray, n_blocks: int) -> list[dict]:
-    """One value -> count dict per block, in block order and with ascending
-    keys; `block` holds each value's block index, below `n_blocks`."""
-    width = int(values.max()) + 1
-    labels = None
-    if n_blocks * width >= 2**63:  # block * width + values would wrap in int64
-        labels, values = np.unique(values, return_inverse=True)
-        width = len(labels)
-    uniq, cnt = np.unique(block * width + values, return_counts=True)
-    vals = uniq % width
-    if labels is not None:
-        vals = labels[vals]
-    vals, cnts = vals.tolist(), cnt.tolist()
-    bounds = np.searchsorted(uniq // width, np.arange(n_blocks + 1)).tolist()
-    return [dict(zip(vals[b0:b1], cnts[b0:b1])) for b0, b1 in zip(bounds, bounds[1:])]
 
 
 def _block_states(d: DiscretizedEvents, block: np.ndarray, step_counts: list, lgt) -> list:

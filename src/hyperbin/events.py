@@ -3,7 +3,7 @@
 Parsing and validation of (source, destination, time) interaction events,
 discretization onto a uniform timestep grid, binnings of the grid, the
 event partitions they induce (stored as cluster sizes), and per-bin
-hypergraph snapshots (a bin's weighted edges, its event count and width).
+hypergraph snapshots (a bin's weighted edges and its event count).
 """
 
 from __future__ import annotations
@@ -357,22 +357,33 @@ def induce_partition(d: DiscretizedEvents, b: Binning) -> EventPartition:
     return EventPartition(sizes)
 
 
-def build_snapshot(d: DiscretizedEvents, b: Binning, k: int) -> "HypergraphSnapshot":
-    """Weighted incidence snapshot of cluster k under binning b."""
-    if not 0 <= k < b.K:
-        raise ValueError(f"cluster index {k} out of range for K={b.K}")
-    a, z = b.bounds[k], b.bounds[k + 1]  # z is exclusive
-    steps = d.step_of_event
-    lo = int(np.searchsorted(steps, a, side="left"))
-    hi = int(np.searchsorted(steps, z, side="left"))
-    if hi <= lo:
-        raise EmptyClusterError(f"cluster {k} of binning {b.widths} holds no events")
+def _group_counts(block: np.ndarray, values: np.ndarray, n_blocks: int) -> list[dict]:
+    """One value -> count dict per block, in block order and with ascending
+    keys; `block` holds each value's block index, below `n_blocks`."""
+    width = int(values.max()) + 1
+    labels = None
+    if n_blocks * width >= 2**63:  # block * width + values would wrap in int64
+        labels, values = np.unique(values, return_inverse=True)
+        width = len(labels)
+    uniq, cnt = np.unique(block * width + values, return_counts=True)
+    vals = uniq % width
+    if labels is not None:
+        vals = labels[vals]
+    vals, cnts = vals.tolist(), cnt.tolist()
+    bounds = np.searchsorted(uniq // width, np.arange(n_blocks + 1)).tolist()
+    return [dict(zip(vals[b0:b1], cnts[b0:b1])) for b0, b1 in zip(bounds, bounds[1:])]
+
+
+def build_snapshot(d: DiscretizedEvents, b: Binning) -> list["HypergraphSnapshot"]:
+    """Weighted incidence snapshots of b's clusters, in cluster order; raises
+    EmptyClusterError, as induce_partition does, if a cluster holds no events."""
+    part = induce_partition(d, b)
     D = d.base.D
-    uniq, cnt = np.unique(d.base.sources[lo:hi] * D + d.base.dests[lo:hi], return_counts=True)
-    edges = {
-        (key // D, key % D): c for key, c in zip(uniq.tolist(), cnt.tolist())
-    }
-    return HypergraphSnapshot(edges=edges, m_k=hi - lo, tau_k=b.widths[k])
+    grouped = _group_counts(part.cluster_of_event, d.base.sources * D + d.base.dests, part.K)
+    return [
+        HypergraphSnapshot(edges={divmod(key, D): c for key, c in g.items()}, m_k=m)
+        for g, m in zip(grouped, part.sizes.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -381,14 +392,13 @@ class HypergraphSnapshot:
 
     `edges[(s, d)]` counts events pairing source s with destination d inside
     the bin, in ascending (s, d) order; the weights sum to m_k, the bin's
-    event count, and tau_k is its width in steps. Nothing here is sized by
-    the label alphabets: a bin's margins follow from `edges`, its time
-    margin from the grid's `occupied_steps` and `step_counts`.
+    event count. Nothing here is sized by the label alphabets: a bin's
+    margins follow from `edges`, its time margin from the grid's
+    `occupied_steps` and `step_counts`.
     """
 
     edges: dict[tuple[int, int], int]
     m_k: int
-    tau_k: int
 
 
 def canonical_binning(d: DiscretizedEvents, b: Binning) -> Binning:
@@ -400,7 +410,5 @@ def canonical_binning(d: DiscretizedEvents, b: Binning) -> Binning:
     cluster absorbing trailing empty steps).
     """
     part = induce_partition(d, b)
-    offsets = np.concatenate([[0], np.cumsum(part.sizes)])
-    starts = [0] + [int(d.step_of_event[offsets[k]]) for k in range(1, part.K)]
-    starts.append(d.T)
-    return Binning(tuple(starts[i + 1] - starts[i] for i in range(part.K)))
+    starts = d.step_of_event[np.cumsum(part.sizes)[:-1]]
+    return Binning(tuple(np.diff(starts, prepend=0, append=d.T).tolist()))

@@ -311,13 +311,13 @@ def test_criterion_7_metric_unit_suite():
     from hyperbin import discretize_on_grid
 
     d2 = discretize_on_grid(ev2, 10, 0.0, 1.0)
-    two = [build_snapshot(d2, Binning((5, 5)), k) for k in range(2)]
-    one = [build_snapshot(d2, Binning((10,)), 0)]
+    two = build_snapshot(d2, Binning((5, 5)))
+    one = build_snapshot(d2, Binning((10,)))
     same = parse_events(
         [("a", "x", 0.0), ("b", "y", 1.0), ("a", "x", 8.0), ("b", "y", 9.0)]
     )
     d3 = discretize_on_grid(same, 10, 0.0, 1.0)
-    mirrored = [build_snapshot(d3, Binning((5, 5)), k) for k in range(2)]
+    mirrored = build_snapshot(d3, Binning((5, 5)))
     assert jsd_edges(one) == 0.0
     assert jsd_edges(two) == pytest.approx(1.0, abs=1e-12)
     assert jsd_edges(mirrored) == pytest.approx(0.0, abs=1e-12)
@@ -367,8 +367,8 @@ def test_criterion_8_generator_distribution_suite():
         d = res.discretized
         part = induce_partition(d, res.binning)
         round_trip_ok &= part.sizes.tolist() == res.partition.sizes.tolist()
-        for k, (a, w) in enumerate(zip(res.binning.bounds[:-1], res.binning.widths)):
-            snap = build_snapshot(d, res.binning, k)
+        snaps = build_snapshot(d, res.binning)
+        for k, (a, w, snap) in enumerate(zip(res.binning.bounds[:-1], res.binning.widths, snaps)):
             round_trip_ok &= int(snap.m_k) == int(res.partition.sizes[k])
             round_trip_ok &= int(d.events_in_step[a : a + w].sum()) == int(snap.m_k)
     ok = comp_ok and weak_ok and table_ok and round_trip_ok

@@ -473,6 +473,31 @@ class TestSweepCommand:
         eta = float(rows[1][6])
         assert 0 < eta <= 1.0
 
+    def test_workers_never_outnumber_tasks(self, tmp_path, monkeypatch):
+        # a process pool forks all its workers at the first submit; this fake
+        # records the worker count and maps in-process, starting none
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("hyperbin.cli.ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--output", out, "--N", "100", "--T", "25", "--K", "2",
+                   "--gamma", "0.01", "--reps", 1, "--jobs", 64, "--method", "greedy") == 0
+        assert workers == [1]
+        assert len(read_rows(out)) == 2
+
     def test_runtimes_positive_and_dp_slower_on_average(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--output", out, "--N", "400", "--T", "200", "--K", "4",
@@ -586,6 +611,18 @@ class TestExitCodes:
                   "--K", "0"])
         assert exc.value.code == 1
         assert not out.exists()
+
+    def test_K_without_baselines_is_a_usage_error(self, tmp_path, capsys):
+        # --K sets only the baselines' cluster count: alone it would be ignored
+        events = tmp_path / "events.csv"
+        write_sample_csv(events)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", "--input", str(events), "--output", str(out), "--K", "5"])
+        assert exc.value.code == 1
+        assert "--baselines" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".series.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
     def test_bad_delta_t_is_a_usage_error(self, tmp_path, value):

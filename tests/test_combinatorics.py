@@ -76,6 +76,19 @@ class TestLog2Multiset:
         exact = math.fsum(math.log2(y + i) - math.log2(i + 1) for i in range(42))
         assert abs(log2_multiset(y, 42) - exact) < 1e-10
 
+    @pytest.mark.parametrize(
+        "y, x", [(3, 10**6), (3, 10**9), (3, 10**12), (20, 2 * 10**5), (4999, 10**7), (5000, 10**7)]
+    )
+    def test_many_items_in_few_bins_do_not_cancel(self, y, x):
+        exact = math.log2(math.comb(x + y - 1, y - 1))
+        assert abs(log2_multiset(y, x) - exact) < 1e-10
+
+    def test_many_items_in_a_fractional_bin_count(self):
+        # ((y multichoose x)) = prod over i < x of (y + i) / (i + 1)
+        y, x = 0.5, 10**6
+        exact = math.fsum(math.log((y + i) / (i + 1)) for i in range(x)) / math.log(2)
+        assert abs(log2_multiset(y, x) - exact) < 1e-10
+
     def test_rejects_nonpositive_bins(self):
         with pytest.raises(ValueError):
             log2_multiset(0.0, 3)

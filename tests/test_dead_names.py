@@ -13,7 +13,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hyperbin"
 # names with no use in src/ that stay on purpose
 ALLOWED = {
     "parse_events": "library entry point: builds an EventSet from records in memory",
-    "_Parser.error": "argparse hook: ArgumentParser calls it on a usage error",
     "DiscretizedEvents.events_in_step": "read by perfbench/run.py until it counts from occupied_steps",
 }
 

@@ -24,7 +24,8 @@ from hyperbin import (
     stage1_dl,
     total_dl_exact,
 )
-from hyperbin.encoding import MarginState, _group_counts, _width_bits
+from hyperbin.encoding import MarginState, _width_bits
+from hyperbin.events import _group_counts
 
 
 class TestNaiveDl:
@@ -74,8 +75,9 @@ class TestClusterDl:
     def test_width_one_cluster_drops_time_terms(self):
         ev = parse_events([("a", "x", 0.0), ("b", "y", 0.01), ("b", "y", 10.0)])
         d = discretize(ev, 10)
-        snap = build_snapshot(d, Binning((1, 9)), 0)
-        assert snap.tau_k == 1 and snap.m_k == 2
+        b = Binning((1, 9))
+        snap = build_snapshot(d, b)[0]
+        assert b.widths[0] == 1 and snap.m_k == 2
         # time multiset term and the (edges, steps) count are both zero
         expected = (
             decoupled_constant(3, 10)
@@ -83,7 +85,7 @@ class TestClusterDl:
             + 0.0
             + math.log2(count_margin_matrices((1, 1), (1, 1)))
         )
-        got = total_dl_exact(d, Binning((1, 9))).per_cluster[0]
+        got = total_dl_exact(d, b).per_cluster[0]
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_finite_positive_and_near_exact_omega(self):

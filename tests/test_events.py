@@ -329,7 +329,8 @@ class TestBuildSnapshot:
     def test_first_cluster(self):
         ev = sample_events()
         d = discretize(ev, 12)
-        snap = build_snapshot(d, Binning((7, 5)), 0)
+        b = Binning((7, 5))
+        snap = build_snapshot(d, b)[0]
         labeled = {
             (ev.source_labels[s], ev.dest_labels[t]): w for (s, t), w in snap.edges.items()
         }
@@ -337,12 +338,12 @@ class TestBuildSnapshot:
         src, dst = _margins(snap)
         assert [src[ev.source_labels.index(k)] for k in ("1", "2", "3", "4")] == [0, 0, 4, 2]
         assert [dst[ev.dest_labels.index(k)] for k in ("A", "B", "C")] == [4, 0, 2]
-        assert snap.tau_k == 7 and snap.m_k == 6
+        assert b.widths[0] == 7 and snap.m_k == 6
 
     def test_second_cluster(self):
         ev = sample_events()
         d = discretize(ev, 12)
-        snap = build_snapshot(d, Binning((7, 5)), 1)
+        snap = build_snapshot(d, Binning((7, 5)))[1]
         labeled = {
             (ev.source_labels[s], ev.dest_labels[t]): w for (s, t), w in snap.edges.items()
         }
@@ -351,10 +352,15 @@ class TestBuildSnapshot:
     def test_single_event_cluster_is_one_hot(self):
         ev = parse_events([("a", "x", 0.0), ("b", "y", 10.0)])
         d = discretize(ev, 10)
-        snap = build_snapshot(d, Binning((5, 5)), 0)
+        snap = build_snapshot(d, Binning((5, 5)))[0]
         assert snap.m_k == 1
         assert list(snap.edges.values()) == [1]
         assert snap.edges == {(0, 0): 1}
+
+    def test_empty_cluster_raises(self):
+        d = discretize_on_grid(parse_events([("a", "x", 0.5), ("b", "y", 9.5)]), 10, 0.0, 1.0)
+        with pytest.raises(EmptyClusterError, match="^cluster 1 of binning"):
+            build_snapshot(d, Binning((3, 3, 4)))
 
     def test_conservation(self):
         rng = np.random.default_rng(5)
@@ -363,8 +369,9 @@ class TestBuildSnapshot:
         b = Binning((10, 10, 10))
         part = induce_partition(d, b)
         total = 0
-        for k, a in enumerate(b.bounds[:-1]):
-            snap = build_snapshot(d, b, k)
+        snaps = build_snapshot(d, b)
+        assert len(snaps) == b.K
+        for k, (a, snap) in enumerate(zip(b.bounds[:-1], snaps)):
             lo = int(part.sizes[:k].sum())
             hi = lo + int(part.sizes[k])
             src, dst = _margins(snap)
@@ -372,14 +379,14 @@ class TestBuildSnapshot:
             assert list(snap.edges) == sorted(snap.edges)
             assert src == Counter(ev.sources[lo:hi].tolist())
             assert dst == Counter(ev.dests[lo:hi].tolist())
-            assert snap.tau_k == b.widths[k]
-            assert a <= d.step_of_event[lo] and d.step_of_event[hi - 1] < a + snap.tau_k
+            assert a <= d.step_of_event[lo] and d.step_of_event[hi - 1] < a + b.widths[k]
             total += snap.m_k
         assert total == 200
 
     def test_report_is_linear_in_k(self):
         # one event per step: the snapshots of all K clusters take O(K) work
-        # to find their cuts, so 8x the clusters cost well under 64x the time
+        # beyond one grouping of the N events, so 8x the clusters cost well
+        # under 64x the time
         n = 16_000
         ev = EventSet(
             sources=np.zeros(n, dtype=np.int64),
@@ -395,8 +402,7 @@ class TestBuildSnapshot:
             best = math.inf
             for _ in range(3):
                 t0 = time.perf_counter()
-                for k in range(K):
-                    build_snapshot(d, b, k)
+                build_snapshot(d, b)
                 best = min(best, time.perf_counter() - t0)
             return best
 
@@ -417,7 +423,7 @@ class TestBuildSnapshot:
         d = discretize_on_grid(ev, 2, 0.0, 1.0)
         tracemalloc.start()
         try:
-            snap = build_snapshot(d, Binning((2,)), 0)
+            snap = build_snapshot(d, Binning((2,)))[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -97,13 +97,13 @@ class TestJsdEdges:
     def _snapshots(self, binning, rows, t):
         ev = parse_events(rows)
         d = discretize(ev, t)
-        return [build_snapshot(d, binning, k) for k in range(binning.K)]
+        return build_snapshot(d, binning)
 
     def test_single_snapshot_zero(self):
         rng = np.random.default_rng(1)
         ev = random_event_set(rng, 50, 4, 4)
         d = discretize(ev, 10)
-        snaps = [build_snapshot(d, Binning((10,)), 0)]
+        snaps = build_snapshot(d, Binning((10,)))
         assert jsd_edges(snaps) == 0.0
 
     def test_disjoint_point_masses(self):
@@ -132,7 +132,7 @@ class TestJsdEdges:
         d = discretize(ev, 5 * k)
         binning = Binning((5,) * k)
         try:
-            snaps = [build_snapshot(d, binning, j) for j in range(k)]
+            snaps = build_snapshot(d, binning)
         except ValueError:
             return
         assert 0.0 <= jsd_edges(snaps) <= 1.0

@@ -293,6 +293,63 @@ class TestDpProperties:
         assert abs(dl[0] - dl[1]) <= 1e-9
 
 
+def _relabeled(d, source_perm, dest_perm):
+    """d with source i renamed to source_perm[i], label included, and the
+    same for destinations."""
+    base = d.base
+    source_labels, dest_labels = [None] * base.S, [None] * base.D
+    for i, j in enumerate(source_perm):
+        source_labels[j] = base.source_labels[i]
+    for i, j in enumerate(dest_perm):
+        dest_labels[j] = base.dest_labels[i]
+    ev = EventSet(
+        sources=np.asarray(source_perm)[base.sources],
+        dests=np.asarray(dest_perm)[base.dests],
+        times=base.times,
+        source_labels=tuple(source_labels),
+        dest_labels=tuple(dest_labels),
+    )
+    return discretize_on_grid(ev, d.T, d.origin, d.delta_t)
+
+
+def _mirrored(d):
+    """d on the unit grid with step s moved to T - 1 - s and the events reversed."""
+    base = d.base
+    ev = EventSet(
+        sources=base.sources[::-1],
+        dests=base.dests[::-1],
+        times=(d.T - 1 - d.step_of_event[::-1]) + 0.5,
+        source_labels=base.source_labels,
+        dest_labels=base.dest_labels,
+    )
+    return discretize_on_grid(ev, d.T, 0.0, 1.0)
+
+
+class TestInvariance:
+    # the optimum's value does not depend on how nodes are named or which way
+    # time runs; greedy's gap and tie rules read left to right, so only the
+    # relabeling holds for it
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=small_grids(), data=st.data())
+    def test_relabeling_keeps_the_dl(self, d, data):
+        source_perm = data.draw(st.permutations(range(d.base.S)))
+        dest_perm = data.draw(st.permutations(range(d.base.D)))
+        r = _relabeled(d, source_perm, dest_perm)
+        for solve in (solve_dp, solve_greedy):
+            assert abs(solve(r).dl.decoupled_total - solve(d).dl.decoupled_total) <= 1e-9
+        best = solve_dp(d).dl.decoupled_total
+        assert abs(total_dl_exact(d, solve_dp(r).binning).decoupled_total - best) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=small_grids())
+    def test_mirroring_keeps_the_dp_optimum(self, d):
+        fit, best = solve_dp(_mirrored(d)), solve_dp(d).dl.decoupled_total
+        assert abs(fit.dl.decoupled_total - best) <= 1e-9
+        reversed_widths = Binning(fit.binning.widths[::-1])
+        assert abs(total_dl_exact(d, reversed_widths).decoupled_total - best) <= 1e-9
+
+
 class TestSolveGreedy:
     def test_single_timestep_collapses_immediately(self):
         ev = parse_events([("a", "x", 1.0), ("b", "y", 1.0)])

@@ -197,6 +197,7 @@ class TestGenerateSynthetic:
             d = res.discretized
             part = induce_partition(d, res.binning)
             assert part.sizes.tolist() == res.partition.sizes.tolist()
+            snaps = build_snapshot(d, res.binning)
             # regenerate with the same seed to recover the planted tables
             rng = np.random.default_rng(seed)
             m = sample_positive_composition(p.N, p.K, rng)
@@ -207,9 +208,8 @@ class TestGenerateSynthetic:
                 d_k = sample_dirichlet_multinomial(int(m[k]), p.D, p.gamma, rng)
                 table = sample_contingency_table(s_k, d_k, rng)
                 rng.permutation(int(m[k]))  # keep the stream aligned
-                snap = build_snapshot(d, res.binning, k)
                 got = np.zeros((p.S, p.D), dtype=int)
-                for (s, t), w in snap.edges.items():
+                for (s, t), w in snaps[k].edges.items():
                     got[s, t] = w
                 assert got.sum(axis=1).tolist() == s_k.tolist()
                 assert got.sum(axis=0).tolist() == d_k.tolist()
