@@ -259,12 +259,8 @@ def _count(v) -> bool:
     return type(v) is int and v > 0
 
 
-def _number(v) -> bool:
-    return type(v) in (int, float)
-
-
 def _finite(v) -> bool:
-    return _number(v) and math.isfinite(v)
+    return type(v) in (int, float) and math.isfinite(v)
 
 
 def _first_bad_key(doc: dict) -> str | None:
@@ -282,17 +278,18 @@ def _first_bad_key(doc: dict) -> str | None:
 
     problem = check(doc, "", [
         ("N", _count), ("S", _count), ("D", _count), ("T", _count), ("delta_t", _finite),
-        ("origin", _finite), ("results", lambda v: type(v) is list),
+        ("origin", _finite), ("results", lambda v: type(v) is list and v != []),
     ])
     for i, res in enumerate(doc["results"] if problem is None else []):
         res, at = res if type(res) is dict else {}, f"results[{i}]."
         problem = check(res, at, [
             ("method", lambda v: True),
-            ("tau", lambda v: type(v) is list and v != [] and all(map(_count, v))),
+            ("tau", lambda v: type(v) is list and v != [] and all(map(_count, v))
+                    and sum(v) == doc["T"]),
             ("K", lambda v: type(v) is int and v == len(res["tau"])),
-            ("eta", _number),
+            ("eta", _finite),
             ("dl", lambda v: type(v) is dict),
-        ]) or check(res["dl"], at + "dl.", [("decoupled", _number)])
+        ]) or check(res["dl"], at + "dl.", [("decoupled", _finite)])
         if problem is not None:
             break
     return problem

@@ -172,51 +172,48 @@ def _greedy_widths(eng: IntervalCostEngine) -> tuple[int, ...]:
     changes live in a flat array scanned for its first minimum, so equal
     changes merge the leftmost pair; after a merge only the two pair changes
     touching the new cluster are recomputed, and their merged states are
-    kept in case the next merge picks one of them. Each merge logs the start
+    kept in case the next merge picks one of them. Each merge logs the bound
     it removes, and the best configuration is rebuilt once at the end.
     """
-    T = eng.T
-    # cluster k covers steps [starts[k], starts[k + 1]), the last one up to T
-    starts = [0] + [e + 1 for e in eng.occupied[:-1]]
-    initial_starts = list(starts)
+    # cluster k covers steps [bounds[k], bounds[k + 1]); the last bound is T
+    bounds = [0] + [e + 1 for e in eng.occupied[:-1]] + [eng.T]
+    initial_bounds = list(bounds)
     states = list(eng.steps)
-    costs = [eng.interval_cost(a, z, st) for a, z, st in zip(starts, starts[1:] + [T], states)]
+    costs = [eng.interval_cost(a, z, st) for a, z, st in zip(bounds, bounds[1:], states)]
 
     def merge(k: int) -> tuple[MarginState, float]:
         """State and cost of clusters k and k + 1 as one cluster."""
-        z = starts[k + 2] if k + 2 < len(starts) else T
         state = MarginState.merged(states[k], states[k + 1], eng.lgt)
-        return state, eng.interval_cost(starts[k], z, state)
+        return state, eng.interval_cost(bounds[k], bounds[k + 2], state)
 
     deltas = np.array(
-        [merge(k)[1] - costs[k] - costs[k + 1] for k in range(len(starts) - 1)], dtype=float
+        [merge(k)[1] - costs[k] - costs[k + 1] for k in range(len(costs) - 1)], dtype=float
     )
     # the merged states of the (at most two) pairs rescored since the last
     # merge; their clusters are unchanged, so a reused cost is bit-identical
     rescored: dict[int, tuple[MarginState, float]] = {}
     total = best_total = sum(costs)
-    merge_log: list[int] = []  # the start each merge removed, in order
+    merge_log: list[int] = []  # the bound each merge removed, in order
     n_best = 0
-    while len(starts) > 1:
+    while len(costs) > 1:
         k = int(np.argmin(deltas))  # first minimum: the leftmost pair
         state, cost = rescored[k] if k in rescored else merge(k)
         rescored.clear()
         total += cost - costs[k] - costs[k + 1]
         states[k], costs[k] = state, cost
         del states[k + 1], costs[k + 1]
-        merge_log.append(starts.pop(k + 1))
+        merge_log.append(bounds.pop(k + 1))
         deltas[k:-1] = deltas[k + 1:]  # drop entry k in place
         deltas = deltas[:-1]
         for j in (k - 1, k):
-            if 0 <= j < len(starts) - 1:
+            if 0 <= j < len(costs) - 1:
                 rescored[j] = merge(j)
                 deltas[j] = rescored[j][1] - costs[j] - costs[j + 1]
         if total <= best_total + TIE_BITS:  # a tie keeps the fewer clusters
             best_total, n_best = min(best_total, total), len(merge_log)
 
     merged_away = set(merge_log[:n_best])
-    bounds = [a for a in initial_starts if a not in merged_away] + [T]
-    return tuple(z - a for a, z in zip(bounds, bounds[1:]))
+    return tuple(np.diff([a for a in initial_bounds if a not in merged_away]).tolist())
 
 
 def baseline_uniform_duration(d: DiscretizedEvents, K: int) -> BinningResult:
@@ -241,26 +238,21 @@ def baseline_uniform_count(d: DiscretizedEvents, K: int) -> BinningResult:
     boundary moves right until a timestep change permits a cut.
     """
     t0 = time.perf_counter()
-    steps = d.step_of_event
     N = d.base.N
     distinct = len(d.occupied_steps)
     if not 1 <= K <= distinct:
         raise EmptyClusterError(
             f"need 1 <= K <= number of event-bearing timesteps ({distinct}), got K={K}"
         )
-    cut_idx = []
-    prev = 0
+    offsets = np.cumsum(d.step_counts)[:-1]  # occupied step r + 1's first event
+    bounds, r = [0], -1
     for j in range(1, K):
-        idx = max(-(-j * N // K), prev + 1)  # ceil(j*N/K)
-        while idx < N and steps[idx] == steps[idx - 1]:
-            idx += 1
-        if idx >= N:
+        # the first cut at or past event rank ceil(j*N/K), right of cut j - 1
+        r = max(int(np.searchsorted(offsets, -(-j * N // K))), r + 1)
+        if r == len(offsets):
             raise EmptyClusterError(
                 f"cannot place boundary {j}: remaining events share one timestep"
             )
-        cut_idx.append(idx)
-        prev = idx
-    ends = [int(steps[i - 1]) for i in cut_idx] + [d.T - 1]
-    starts = [0] + [e + 1 for e in ends[:-1]]
-    widths = tuple(e - s + 1 for s, e in zip(starts, ends))
+        bounds.append(int(d.occupied_steps[r]) + 1)
+    widths = tuple(np.diff(bounds + [d.T]).tolist())
     return _finish(d, Binning(widths), "uniform_count", time.perf_counter() - t0)

@@ -275,11 +275,7 @@ def generate_synthetic(p: SynthParams) -> SynthResult:
     m = sample_positive_composition(p.N, p.K, rng)
     tau = sample_positive_composition(p.T, p.K, rng)
 
-    sources = np.empty(p.N, dtype=np.int64)
-    dests = np.empty(p.N, dtype=np.int64)
-    steps = np.empty(p.N, dtype=np.int64)
-    pos = 0
-    step_base = 0
+    clusters = []  # each cluster's sources, destinations and per-step counts
     for k in range(p.K):
         mk, tk = int(m[k]), int(tau[k])
         n_k = sample_weak_composition(mk, tk, rng)
@@ -288,14 +284,11 @@ def generate_synthetic(p: SynthParams) -> SynthResult:
         table = sample_contingency_table(s_k, d_k, rng)
         src_ix, dst_ix = np.nonzero(table)
         reps = table[src_ix, dst_ix]
-        pair_src = np.repeat(src_ix, reps)
-        pair_dst = np.repeat(dst_ix, reps)
         perm = rng.permutation(mk)
-        sources[pos : pos + mk] = pair_src[perm]
-        dests[pos : pos + mk] = pair_dst[perm]
-        steps[pos : pos + mk] = np.repeat(np.arange(tk) + step_base, n_k)
-        pos += mk
-        step_base += tk
+        clusters.append((np.repeat(src_ix, reps)[perm], np.repeat(dst_ix, reps)[perm], n_k))
+    # the clusters tile the grid in order, so their joined counts cover all T steps
+    sources, dests, counts = map(np.concatenate, zip(*clusters))
+    steps = np.repeat(np.arange(p.T), counts)
 
     ev = EventSet(
         sources=sources,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hyperbin import (
     Binning,
+    EmptyClusterError,
     EventDataError,
     EventSet,
     IntervalCostEngine,
@@ -114,6 +115,34 @@ def reference_greedy_run(d) -> tuple[tuple[int, ...], float, list[int]]:
             best = (total, list(bounds))
     total, bounds = best
     return tuple(z - a for a, z in zip(bounds, bounds[1:])), total, merges
+
+
+def reference_uniform_count(d, K: int) -> tuple[int, ...]:
+    """The widths of baseline_uniform_count by a per-event scan: each
+    boundary starts at event rank ceil(j*N/K) (past the previous one) and
+    walks right one event at a time until the timestep changes."""
+    steps = d.step_of_event
+    N = d.base.N
+    distinct = len(d.occupied_steps)
+    if not 1 <= K <= distinct:
+        raise EmptyClusterError(
+            f"need 1 <= K <= number of event-bearing timesteps ({distinct}), got K={K}"
+        )
+    cut_idx = []
+    prev = 0
+    for j in range(1, K):
+        idx = max(-(-j * N // K), prev + 1)  # ceil(j*N/K)
+        while idx < N and steps[idx] == steps[idx - 1]:
+            idx += 1
+        if idx >= N:
+            raise EmptyClusterError(
+                f"cannot place boundary {j}: remaining events share one timestep"
+            )
+        cut_idx.append(idx)
+        prev = idx
+    ends = [int(steps[i - 1]) for i in cut_idx] + [d.T - 1]
+    starts = [0] + [e + 1 for e in ends[:-1]]
+    return tuple(e - s + 1 for s, e in zip(starts, ends))
 
 
 def reference_dp_table(eng) -> tuple[dict[int, float], dict[int, int]]:

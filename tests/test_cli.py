@@ -428,6 +428,10 @@ class TestMetricsCommand:
             (("results", 3, "tau"), [39, 8, 0, 33], "results[3].tau"),
             (("results", 3, "tau"), [39, 8, True, 32], "results[3].tau"),
             (("results",), {}, "results"),
+            (("results",), [], "results"),
+            (("results", 1, "eta"), float("nan"), "results[1].eta"),
+            (("results", 0, "dl", "decoupled"), float("inf"), "results[0].dl.decoupled"),
+            (("results", 3, "tau"), [39, 8, 9, 25], "results[3].tau"),
         ],
     )
     def test_wrongly_typed_field_is_rejected(self, tmp_path, capsys, where, value, named):

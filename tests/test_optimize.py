@@ -13,6 +13,7 @@ from helpers import (
     reference_dp_table,
     reference_greedy,
     reference_greedy_run,
+    reference_uniform_count,
     sample_events,
     small_grids,
     solve_bruteforce,
@@ -567,6 +568,24 @@ class TestBaselines:
         d = discretize_on_grid(ev, 10, 0.0, 1.0)
         res = baseline_uniform_count(d, 2)
         assert res.partition.sizes.tolist() == [7, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=small_grids())
+    # the K=2 boundary slides past the last event: "cannot place boundary 1"
+    @example(d=discretize_on_grid(
+        parse_events([("a", "x", t) for t in (0.5, 1.5, 1.5, 1.5, 1.5)]), 2, 0.0, 1.0
+    ))
+    def test_uniform_count_equals_the_event_scan(self, d):
+        # every K from 1 to one past the occupied steps, where both refuse
+        for K in range(1, len(d.occupied_steps) + 2):
+            try:
+                want = reference_uniform_count(d, K)
+            except EmptyClusterError as exc:
+                with pytest.raises(EmptyClusterError) as got:
+                    baseline_uniform_count(d, K)
+                assert str(got.value) == str(exc)
+            else:
+                assert baseline_uniform_count(d, K).binning.widths == want
 
     def test_uniform_count_infeasible_k(self):
         ev = parse_events([("a", "x", 1.0), ("b", "y", 1.0)])

@@ -202,12 +202,22 @@ class TestGenerateSynthetic:
             rng = np.random.default_rng(seed)
             m = sample_positive_composition(p.N, p.K, rng)
             tau = sample_positive_composition(p.T, p.K, rng)
+            firsts = np.cumsum(m) - m  # each cluster's first event
             for k, a in enumerate(res.binning.bounds[:-1]):
                 n_k = sample_weak_composition(int(m[k]), int(tau[k]), rng)
                 s_k = sample_dirichlet_multinomial(int(m[k]), p.S, p.gamma, rng)
                 d_k = sample_dirichlet_multinomial(int(m[k]), p.D, p.gamma, rng)
                 table = sample_contingency_table(s_k, d_k, rng)
-                rng.permutation(int(m[k]))  # keep the stream aligned
+                perm = rng.permutation(int(m[k]))
+                # the cluster's events in order: its shuffled edge multiset
+                # against its sorted steps
+                src_ix, dst_ix = np.nonzero(table)
+                reps = table[src_ix, dst_ix]
+                at = slice(firsts[k], firsts[k] + m[k])
+                assert res.events.sources[at].tolist() == np.repeat(src_ix, reps)[perm].tolist()
+                assert res.events.dests[at].tolist() == np.repeat(dst_ix, reps)[perm].tolist()
+                steps_k = np.repeat(np.arange(a, a + int(tau[k])), n_k)
+                assert d.step_of_event[at].tolist() == steps_k.tolist()
                 got = np.zeros((p.S, p.D), dtype=int)
                 for (s, t), w in snaps[k].edges.items():
                     got[s, t] = w
