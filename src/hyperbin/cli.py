@@ -277,7 +277,8 @@ def _first_bad_key(doc: dict) -> str | None:
         return None
 
     problem = check(doc, "", [
-        ("N", _count), ("S", _count), ("D", _count), ("T", _count), ("delta_t", _finite),
+        ("N", _count), ("S", _count), ("D", _count), ("T", _count),
+        ("delta_t", lambda v: _finite(v) and v > 0),
         ("origin", _finite), ("results", lambda v: type(v) is list and v != []),
     ])
     for i, res in enumerate(doc["results"] if problem is None else []):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -82,19 +83,16 @@ class EventSet:
 
 
 def _parse_timestamp(value, row: int) -> float:
+    text = str(value).strip()  # a float's str() reads back exactly, an int's correctly rounded
     stamp = None
-    if isinstance(value, str) and ":" in value:
-        pass  # float() accepts no ':', so such text is ISO-8601 or bad
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        stamp = float(value)
-    else:
+    if ":" not in text:  # float() accepts no ':', so such text is ISO-8601 or bad
         try:
-            stamp = float(str(value).strip())
+            stamp = float(text)
         except ValueError:
             pass
     if stamp is None:
         try:
-            dt = datetime.fromisoformat(str(value).strip().replace("Z", "+00:00"))
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
         except ValueError:
             raise EventDataError(f"row {row}: cannot parse timestamp {value!r}") from None
         if dt.tzinfo is None:
@@ -142,10 +140,11 @@ def parse_events(records: Iterable[tuple]) -> EventSet:
     """Build an EventSet from (source_label, dest_label, timestamp) records.
 
     Labels are mapped to dense integer ids in first-appearance order, after
-    str(), so 1 and "1" are one label; timestamps may be finite numbers (not
-    bools) or ISO-8601 strings. Events are stably sorted by time, so records
-    sharing a timestamp keep their input order. Duplicate (s, d, t) triples
-    are allowed (multi-events). Errors number the records from 1.
+    str(), so 1 and "1" are one label; timestamps, read from their str() too,
+    may be finite numbers (not bools) or ISO-8601 strings. Events are stably
+    sorted by time, so records sharing a timestamp keep their input order.
+    Duplicate (s, d, t) triples are allowed (multi-events). Errors number
+    the records from 1.
     """
     return _events_from_rows(records, 1, skip_blank=False)
 
@@ -212,32 +211,17 @@ class DiscretizedEvents:
         return np.bincount(self.step_of_event, minlength=self.T)
 
 
-def _finish_discretization(ev: EventSet, T: int, origin: float, delta_t: float) -> DiscretizedEvents:
-    span = float(ev.times[-1]) - float(ev.times[0])  # every grid is made here
-    if not (math.isfinite(span) and 0 < delta_t < math.inf and math.isfinite(origin + T * delta_t)):
-        raise ValueError(f"event times spanning {span} give no finite grid of {T} steps")
-    steps = np.floor((ev.times - origin) / delta_t).astype(np.int64)
-    np.clip(steps, 0, T - 1, out=steps)
-    occupied, counts = np.unique(steps, return_counts=True)
-    return DiscretizedEvents(
-        base=ev,
-        T=T,
-        delta_t=delta_t,
-        origin=origin,
-        step_of_event=steps,
-        occupied_steps=occupied,
-        step_counts=counts,
-    )
+def _check_step_count(T) -> None:
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or not 1 <= T <= MAX_STEPS:
+        raise ValueError(f"need an integer 1 <= T <= 2**53, got T={T}")
 
 
 def discretize(ev: EventSet, T: int) -> DiscretizedEvents:
     """Round event times onto T uniform steps spanning [t_1, t_N]."""
-    if not 1 <= T <= MAX_STEPS:
-        raise ValueError(f"need 1 <= T <= 2**53, got T={T}")
+    _check_step_count(T)  # before dividing by T
     t1 = float(ev.times[0])
     span = float(ev.times[-1]) - t1
-    delta_t = span / T if span > 0 else 1.0
-    return _finish_discretization(ev, T, t1, delta_t)
+    return discretize_on_grid(ev, T, t1, span / T if span > 0 else 1.0)
 
 
 def discretize_by_width(ev: EventSet, delta_t: float) -> DiscretizedEvents:
@@ -255,23 +239,41 @@ def discretize_by_width(ev: EventSet, delta_t: float) -> DiscretizedEvents:
         raise ValueError(
             f"delta_t={delta_t} over a span of {span} gives T={steps:g} steps, more than 2**53"
         )
-    T = max(1, math.ceil(steps))
-    return _finish_discretization(ev, T, t1, delta_t)
+    return discretize_on_grid(ev, max(1, math.ceil(steps)), t1, delta_t)
 
 
 def discretize_on_grid(ev: EventSet, T: int, origin: float, delta_t: float) -> DiscretizedEvents:
-    """Discretize onto an explicitly anchored grid.
+    """Discretize onto the grid of T steps of width delta_t from origin.
 
-    Used when the grid is known a priori (synthetic data, re-evaluating a
-    stored result) rather than derived from the observed time span. All
-    event times must fall inside [origin, origin + T*delta_t].
+    Every grid is made here, whether derived from the observed time span or
+    known a priori (synthetic data, re-evaluating a stored result). All
+    event times must fall inside [origin, origin + T*delta_t], up to rounding.
     """
-    if not 1 <= T <= MAX_STEPS or delta_t <= 0:
-        raise ValueError(f"need 1 <= T <= 2**53 and delta_t > 0, got T={T}, delta_t={delta_t}")
+    _check_step_count(T)  # before any arithmetic on T
     lo, hi = float(ev.times[0]), float(ev.times[-1])
-    if lo < origin - 1e-9 * delta_t or hi > origin + T * delta_t + 1e-9 * delta_t:
+    width = T * delta_t
+    end = origin + width
+    if not (0 < delta_t < math.inf and math.isfinite(end)):
+        raise ValueError(f"event times spanning {hi - lo} give no finite grid of {T} steps")
+    # On a derived grid origin is t_1, and `end` misses t_N only by roundings: three in `width`
+    # (of t_N - t_1, of the division giving delta_t or T, of T*delta_t), each relative and at
+    # most 2**-53, so under 3 ulps of it, and half an ulp of `end` in the sum. A stored grid
+    # reads back bit for bit; the 1e-9*delta_t allows for grids rounded elsewhere.
+    slack = 1e-9 * delta_t + 4 * math.ulp(max(width, abs(end)))
+    if lo < origin - slack or hi > end + slack:
         raise ValueError("event times fall outside the supplied grid")
-    return _finish_discretization(ev, T, origin, delta_t)
+    # clipped before the int64 cast, as the slack may span many steps
+    steps = np.clip(np.floor((ev.times - origin) / delta_t), 0, T - 1).astype(np.int64)
+    occupied, counts = np.unique(steps, return_counts=True)
+    return DiscretizedEvents(
+        base=ev,
+        T=T,
+        delta_t=delta_t,
+        origin=origin,
+        step_of_event=steps,
+        occupied_steps=occupied,
+        step_counts=counts,
+    )
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,10 @@ class EventPartition:
     sizes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
+        sizes = np.asarray(self.sizes)
+        if sizes.ndim != 1 or len(sizes) == 0 or sizes.dtype.kind not in "iu":
+            raise ValueError(f"cluster sizes need a non-empty 1-D integer array, got {self.sizes!r}")
+        object.__setattr__(self, "sizes", sizes.astype(np.int64, copy=False))
         if self.sizes.min() < 1:
             raise EmptyClusterError("every cluster needs at least one event")
 

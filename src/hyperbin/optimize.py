@@ -177,7 +177,6 @@ def _greedy_widths(eng: IntervalCostEngine) -> tuple[int, ...]:
     """
     # cluster k covers steps [bounds[k], bounds[k + 1]); the last bound is T
     bounds = [0] + [e + 1 for e in eng.occupied[:-1]] + [eng.T]
-    initial_bounds = list(bounds)
     states = list(eng.steps)
     costs = [eng.interval_cost(a, z, st) for a, z, st in zip(bounds, bounds[1:], states)]
 
@@ -212,8 +211,8 @@ def _greedy_widths(eng: IntervalCostEngine) -> tuple[int, ...]:
         if total <= best_total + TIE_BITS:  # a tie keeps the fewer clusters
             best_total, n_best = min(best_total, total), len(merge_log)
 
-    merged_away = set(merge_log[:n_best])
-    return tuple(np.diff([a for a in initial_bounds if a not in merged_away]).tolist())
+    # bounds is [0, T] now: the best configuration kept those merged after it
+    return tuple(np.diff(sorted(bounds + merge_log[n_best:])).tolist())
 
 
 def baseline_uniform_duration(d: DiscretizedEvents, K: int) -> BinningResult:

@@ -417,6 +417,8 @@ class TestMetricsCommand:
             (("S",), 0, "S"),
             (("D",), 4.0, "D"),
             (("delta_t",), "0.9875", "delta_t"),
+            (("delta_t",), -1.0, "delta_t"),
+            (("delta_t",), 0, "delta_t"),
             (("origin",), float("nan"), "origin"),
             (("origin",), False, "origin"),
             (("results", 0, "K"), 99, "results[0].K"),
@@ -451,6 +453,16 @@ class TestMetricsCommand:
             "--gamma", "0.01", "--seed", 99)
         out = tmp_path / "metrics.json"
         assert run("metrics", result, "--input", other, "--output", out) == 2
+
+    def test_reads_back_a_grid_whose_end_rounds_below_the_last_event(self, tmp_path):
+        # T * delta_t comes out one ulp short of t_N, far over the 1e-9 * delta_t slack
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "source,destination,timestamp\na,x,0.0\nb,y,209701.3099390609\n", encoding="utf-8"
+        )
+        result, out = tmp_path / "result.json", tmp_path / "metrics.json"
+        assert run("bin", "--input", events, "--output", result, "--T", 818184255) == 0
+        assert run("metrics", result, "--input", events, "--output", out) == 0
 
 
 class TestSweepCommand:
@@ -644,7 +656,7 @@ class TestExitCodes:
         def no_grid(*args):
             raise AssertionError("the grid was allocated")
 
-        monkeypatch.setattr(hyperbin.events, "_finish_discretization", no_grid)
+        monkeypatch.setattr(hyperbin.events, "discretize_on_grid", no_grid)
         out = tmp_path / "out.json"
         # the sample spans 11 time units, so T would be 1.1e301
         assert main(["bin", "--input", str(events), "--output", str(out),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hyperbin.events
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -116,6 +116,26 @@ class TestParseEvents:
     def test_bool_timestamp_is_rejected(self, stamp):
         with pytest.raises(EventDataError, match="row 2: cannot parse timestamp"):
             parse_events([("a", "x", 1.0), ("b", "y", stamp)])
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(2**64), 2**64)
+        | st.integers(-(10**400), 10**400)
+    )
+    @example(10**400)
+    @example(-(10**400))
+    def test_numbers_read_as_their_float(self, stamp):
+        # numbers are read from their text: a float reads back exactly, an int is
+        # correctly rounded, and an int past the float range reads as inf
+        try:
+            want = float(stamp)
+        except OverflowError:
+            with pytest.raises(EventDataError, match="row 1: .* not finite"):
+                parse_events([("a", "x", stamp)])
+            return
+        got = float(parse_events([("a", "x", stamp)]).times[0])
+        assert got.hex() == want.hex()
 
     def test_whitespace_padded_iso_stamp(self):
         ev = parse_events([("a", "x", " 2020-01-01T00:00:00Z\t"), ("b", "y", " 2020-01-02 ")])
@@ -230,10 +250,46 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="finite delta_t"):
             discretize_by_width(sample_events(), width)
 
-    def test_on_grid_rejects_outside_times(self):
-        ev = parse_events([("a", "x", 5.0)])
-        with pytest.raises(ValueError):
-            discretize_on_grid(ev, 4, 0.0, 1.0)
+    @pytest.mark.parametrize("steps_out", [-1, 1])
+    @pytest.mark.parametrize("origin, delta_t", [(0.0, 1.0), (1.6e9, 1.0), (1e12, 1e-3), (-1e12, 60.0)])
+    def test_on_grid_rejects_outside_times(self, origin, delta_t, steps_out):
+        # an event one step before the grid of 4 steps, or one step past its end
+        ev = parse_events([("a", "x", origin + (steps_out if steps_out < 0 else 5) * delta_t)])
+        with pytest.raises(ValueError, match="outside the supplied grid"):
+            discretize_on_grid(ev, 4, origin, delta_t)
+
+    @pytest.mark.parametrize(
+        "T", [True, 2.5, np.float64(3.0), 0, 2**53 + 1, pytest.param(10**400, id="1e400")]
+    )
+    def test_step_count_must_be_an_integer_in_range(self, T):
+        for make in (lambda ev: discretize(ev, T), lambda ev: discretize_on_grid(ev, T, 0.0, 1.0)):
+            with pytest.raises(ValueError, match=r"need an integer 1 <= T <= 2\*\*53"):
+                make(sample_events())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t1=st.sampled_from([0.0, 1.6e9, 1e12, -1.6e9]) | st.floats(-1e12, 1e12),
+        span=st.just(0.0) | st.floats(1e-6, 1e9),
+        T=st.integers(1, 1000) | st.integers(1, 2**53),
+        by_width=st.booleans(),
+        inner=st.lists(st.floats(0, 1), max_size=4),
+    )
+    @example(t1=0.0, span=209701.3099390609, T=818184255, by_width=False, inner=[])
+    @example(t1=0.0, span=1691.8104123529536, T=47548066282743, by_width=True, inner=[])
+    def test_every_derived_grid_is_a_supplied_grid(self, t1, span, T, by_width, inner):
+        times = np.sort([t1, t1 + span] + [t1 + f * span for f in inner])
+        ev = EventSet(np.zeros(len(times), int), np.zeros(len(times), int), times, ("a",), ("x",))
+        if by_width:
+            span = float(times[-1]) - float(times[0])  # as rounded
+            width = span / T if span > 0 else 1.0
+            assume(width > 0 and span / width <= 2**53)
+            d = discretize_by_width(ev, width)
+        else:
+            d = discretize(ev, T)
+        again = discretize_on_grid(ev, d.T, d.origin, d.delta_t)
+        assert (again.T, again.origin, again.delta_t) == (d.T, d.origin, d.delta_t)
+        for name in ("step_of_event", "occupied_steps", "step_counts"):
+            assert np.array_equal(getattr(again, name), getattr(d, name))
 
 
 class TestBinning:
@@ -264,6 +320,13 @@ class TestEventPartition:
         assert a == b and hash(a) == hash(b)
         assert a != EventPartition([2, 1]) and a != EventPartition([1, 2, 1])
         assert a != (1, 2)
+
+    @pytest.mark.parametrize(
+        "sizes", [[2.7, 3], np.array([2.0, 3.0]), [], [[1, 2], [3, 4]], [True, True]]
+    )
+    def test_sizes_must_be_a_non_empty_1d_integer_array(self, sizes):
+        with pytest.raises(ValueError, match="non-empty 1-D integer array"):
+            EventPartition(sizes)
 
 
 class TestInducePartition:
