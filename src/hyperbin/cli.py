@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -172,18 +173,10 @@ def cmd_synth(args: argparse.Namespace) -> Path:
             writer.writerow([ev.source_labels[s], ev.dest_labels[t], repr(tm)])
     planted = {
         "format_version": FORMAT_VERSION,
-        "params": {
-            "N": params.N,
-            "T": params.T,
-            "K": params.K,
-            "S": params.S,
-            "D": params.D,
-            "gamma": params.gamma,
-            "seed": params.seed,
-        },
+        "params": dataclasses.asdict(params),
         "grid": {"origin": 0.0, "delta_t": 1.0, "T": params.T},
         "tau": list(res.binning.widths),
-        "m": [int(x) for x in res.partition.sizes],
+        "m": res.partition.sizes.tolist(),
     }
     _write_json(out.with_suffix(".planted.json"), planted)
     return out

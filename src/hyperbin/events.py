@@ -124,6 +124,10 @@ def _events_from_rows(records: Iterable[Sequence], first_row: int, skip_blank: b
             add_time(_parse_timestamp(t_raw, row))
     except csv.Error as exc:  # from a strict csv.reader, reading the next row
         raise EventDataError(f"row {row + 1}: {exc}") from None
+    except (EventDataError, UnicodeDecodeError):
+        raise
+    except ValueError as exc:  # str() refuses an int of over 4300 digits, and so would repr()
+        raise EventDataError(f"row {row}: {exc}") from None
     if not times:
         raise EventDataError("no events in input")
     order = np.argsort(np.asarray(times), kind="stable")

@@ -10,6 +10,8 @@ the sorted step multiset.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,14 +81,10 @@ def sample_weak_composition(total: int, parts: int, rng) -> np.ndarray:
         raise ValueError(f"need parts >= 1, got {parts}")
     if total < 0:
         raise ValueError(f"need total >= 0, got {total}")
-    rng = as_generator(rng)
-    if parts == 1:
-        return np.array([total], dtype=np.int64)
     if total == 0:
         return np.zeros(parts, dtype=np.int64)
-    bars = np.sort(rng.choice(total + parts - 1, size=parts - 1, replace=False))
-    padded = np.concatenate([[-1], bars, [total + parts - 1]])
-    return (np.diff(padded) - 1).astype(np.int64)
+    # one taken from each part of a positive composition of total + parts
+    return sample_positive_composition(total + parts, parts, rng) - 1
 
 
 def sample_dirichlet_multinomial(m: int, dim: int, gamma: float, rng) -> np.ndarray:
@@ -125,32 +123,18 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
 
 
 def _weighted_choice(rng: np.random.Generator, weights: list[int]) -> int:
-    total = sum(weights)
-    u = _randbelow(rng, total)
-    acc = 0
-    for idx, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return idx
-    raise AssertionError("weights exhausted")
+    cum = list(itertools.accumulate(weights))
+    return bisect.bisect_right(cum, _randbelow(rng, cum[-1]))
 
 
 def _sample_uniform_two_line(r1: int, cols: list[int], rng) -> list[int]:
     # uniform bounded composition of r1 with bounds cols; the second row of
     # the table is the complement
     C = len(cols)
-    ways = [[0] * (r1 + 1) for _ in range(C + 1)]
-    ways[C][0] = 1
+    ways = [None] * C + [[1] + [0] * r1]  # ways[j][b]: fills of columns j.. summing to b
     for j in range(C - 1, -1, -1):
-        cj = cols[j]
-        nxt = ways[j + 1]
-        pref = [0] * (r1 + 2)
-        for b in range(r1 + 1):
-            pref[b + 1] = pref[b] + nxt[b]
-        row = ways[j]
-        for b in range(r1 + 1):
-            lo = b - min(b, cj)
-            row[b] = pref[b + 1] - pref[lo]
+        pref = list(itertools.accumulate(ways[j + 1], initial=0))
+        ways[j] = [pref[b + 1] - pref[max(b - cols[j], 0)] for b in range(r1 + 1)]
     y = []
     b = r1
     for j in range(C):
@@ -215,11 +199,13 @@ def _sample_fisher(rows: list[int], cols: list[int], rng: np.random.Generator) -
 def sample_contingency_table(rows, cols, rng) -> np.ndarray:
     """Random non-negative integer matrix with the given margins.
 
-    Small or thin instances (a margin with at most two nonzero entries, or
-    total <= EXACT_MAX_TOTAL with a nonzero dimension <= EXACT_MAX_MIN_DIM)
-    are drawn exactly uniformly over all matrices with those margins, by
-    conditional column filling with exact completion counts. Larger
-    instances fall back to sequential hypergeometric filling (the
+    With `short` and `long` the numbers of nonzero entries of the shorter
+    and the longer margin, a table is drawn exactly uniformly over all
+    matrices with those margins when short == 1, when short == 2 and
+    long <= _TWO_LINE_MAX_DIM (64), or when total <= EXACT_MAX_TOTAL and
+    short <= EXACT_MAX_MIN_DIM, by conditional column filling with exact
+    completion counts. Every other table (a 2 x 65 one with a total above
+    40, say) falls back to sequential hypergeometric filling (the
     conditional-independence table law).
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -240,24 +226,26 @@ def sample_contingency_table(rows, cols, rng) -> np.ndarray:
         return out
     r = [int(x) for x in rows[nzr]]
     c = [int(x) for x in cols[nzc]]
-    R, C = len(r), len(c)
+    short, long = sorted((len(r), len(c)))
 
-    if R == 1:
-        sub = np.asarray([c], dtype=np.int64)
-    elif C == 1:
-        sub = np.asarray([[v] for v in r], dtype=np.int64)
-    elif R == 2 and C <= _TWO_LINE_MAX_DIM:
-        y = _sample_uniform_two_line(r[0], c, rng)
-        sub = np.asarray([y, [cv - yv for cv, yv in zip(c, y)]], dtype=np.int64)
-    elif C == 2 and R <= _TWO_LINE_MAX_DIM:
-        y = _sample_uniform_two_line(c[0], r, rng)
-        sub = np.asarray([y, [rv - yv for rv, yv in zip(r, y)]], dtype=np.int64).T
-    elif total <= EXACT_MAX_TOTAL and min(R, C) <= EXACT_MAX_MIN_DIM:
-        if R <= C:
-            sub = np.asarray(_sample_uniform_small(r, c, rng), dtype=np.int64)
+    if (short == 1 or (short == 2 and long <= _TWO_LINE_MAX_DIM)
+            or (total <= EXACT_MAX_TOTAL and short <= EXACT_MAX_MIN_DIM)):
+        # exact draws take the shorter margin as rows and transpose back
+        flip = len(r) > len(c)
+        if flip:
+            r, c = c, r
+        if short == 1:
+            sub = [c]
+        elif short == 2:  # the test above bounds the long margin here
+            y = _sample_uniform_two_line(r[0], c, rng)
+            sub = [y, [cv - yv for cv, yv in zip(c, y)]]
         else:
-            sub = np.asarray(_sample_uniform_small(c, r, rng), dtype=np.int64).T
+            sub = _sample_uniform_small(r, c, rng)
+        sub = np.asarray(sub, dtype=np.int64)
+        if flip:
+            sub = sub.T
     else:
+        # never flipped: the Fisher stream depends on which margin is the rows
         sub = _sample_fisher(r, c, rng)
 
     out[np.ix_(nzr, nzc)] = sub

@@ -149,6 +149,15 @@ class TestParseEvents:
         with pytest.raises(EventDataError, match="^row 1: cannot parse"):
             parse_events([("a", "x", "soon"), ("b", "y", 1.0)])
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_int_too_long_for_str_reports_row(self, position):
+        # str() and repr() both refuse an int of more than 4300 digits
+        bad = ["b", "y", 2.0]
+        bad[position] = 10**5000
+        with pytest.raises(EventDataError, match="^row 2: ") as info:
+            parse_events([("a", "x", 1.0), tuple(bad), ("c", "z", 3.0)])
+        assert len(str(info.value)) < 200
+
 
 def _outcome(parse, text):
     try:
@@ -625,6 +634,14 @@ class TestCsvReader:
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"source,destination,timestamp\nu,v,1.0\nu,\xffv,2.0\n")
+        with pytest.raises(EventDataError, match=r"bad\.csv: not UTF-8: byte 0xff"):
+            read_events_csv(path)
+
+    def test_non_utf8_byte_past_the_first_read_names_the_file(self, tmp_path):
+        # decoded inside the row loop, not while the header is read
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"source,destination,timestamp\n" + b"u,v,1.0\n" * 10_000
+                         + b"u,\xffv,2.0\n")
         with pytest.raises(EventDataError, match=r"bad\.csv: not UTF-8: byte 0xff"):
             read_events_csv(path)
 

@@ -6,7 +6,8 @@ The fixture under fixtures/golden_cli was produced by
     hyperbin bin --input events.csv --output result.json --T 80 --method both --baselines
     hyperbin metrics result.json --input events.csv --output metrics.json
 
-with every `runtime_seconds` value in result.json replaced by 0.0. A change
+(synth also writes events.planted.json), with every `runtime_seconds` value
+in result.json replaced by 0.0. A change
 that is meant to keep behaviour (a refactor or a deletion) must keep these
 files byte for byte.
 """
@@ -35,6 +36,8 @@ def test_synth_reproduces_the_fixture_input(tmp_path):
     out = tmp_path / "events.csv"
     assert main(["synth", "--output", str(out), *SYNTH_ARGS]) == 0
     assert out.read_bytes() == (GOLDEN / "events.csv").read_bytes()
+    planted = out.with_suffix(".planted.json")
+    assert planted.read_bytes() == (GOLDEN / "events.planted.json").read_bytes()
 
 
 def test_bin_and_metrics_documents_match_golden(tmp_path, monkeypatch):

@@ -1,3 +1,8 @@
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,10 @@ from hyperbin import (
     sample_positive_composition,
     sample_weak_composition,
 )
+
+# 70-entry margins: total 30 over 20 nonzero entries, and total 100 over all 70
+SPARSE_70 = [2 if j % 7 == 0 else 1 if j % 7 == 3 else 0 for j in range(70)]
+FULL_70 = [2 if j % 7 < 3 else 1 for j in range(70)]
 
 
 class TestPositiveComposition:
@@ -54,6 +63,18 @@ class TestWeakComposition:
     def test_single_part(self):
         rng = np.random.default_rng(0)
         assert sample_weak_composition(9, 1, rng).tolist() == [9]
+
+    # recorded before weak compositions went through the positive sampler,
+    # with the generator's next integers(2**40) after each draw
+    @pytest.mark.parametrize(
+        "total, parts, draw, after",
+        [(0, 3, [0, 0, 0], 1036901153721), (9, 1, [9], 1036901153721),
+         (25, 6, [14, 3, 5, 0, 2, 1], 413951377224)],
+    )
+    def test_draws_are_pinned(self, total, parts, draw, after):
+        rng = np.random.default_rng(4)
+        assert sample_weak_composition(total, parts, rng).tolist() == draw
+        assert int(rng.integers(2**40)) == after
 
     def test_uniform_over_weak_compositions(self):
         rng = np.random.default_rng(3)
@@ -178,6 +199,61 @@ class TestContingencyTable:
     def test_exact_draws_are_pinned(self, rows, cols, seed, table):
         assert sample_contingency_table(rows, cols, seed).tolist() == table
 
+    # one draw per branch at seed 0, with the generator's next integers(2**40)
+    # after it, recorded before the exact draws shared one orientation; a
+    # transposed margin pair gives the transposed table and the same stream,
+    # except under Fisher, which fills rows as given
+    @pytest.mark.parametrize(
+        "rows, cols, table, after",
+        [
+            ([12], [5, 0, 3, 4], [[5, 0, 3, 4]], 700346781657),  # one line
+            ([5, 0, 3, 4], [12], [[5], [0], [3], [4]], 700346781657),
+            ([35, 25], [8, 20, 5, 15, 12], [[7, 13, 2, 4, 9], [1, 7, 3, 11, 3]], 45050865998),
+            ([8, 20, 5, 15, 12], [35, 25], [[7, 1], [13, 7], [2, 3], [4, 11], [9, 3]],
+             45050865998),
+            ([30, 20], [22, 28], [[19, 11], [3, 17]], 296633628802),  # two lines
+            ([14, 9, 7], [6, 5, 4, 4, 3, 3, 3, 2],
+             [[6, 2, 1, 0, 2, 1, 0, 2], [0, 2, 1, 2, 0, 1, 3, 0], [0, 1, 2, 2, 1, 1, 0, 0]],
+             894200084524),  # small regime
+            ([6, 5, 4, 4, 3, 3, 3, 2], [14, 9, 7],
+             [[6, 0, 0], [2, 2, 1], [1, 1, 2], [0, 2, 2], [2, 0, 1], [1, 1, 1], [0, 3, 0],
+              [2, 0, 0]], 894200084524),
+            ([8, 6, 5, 4, 3, 2, 2], [7, 6, 5, 4, 4, 2, 2],
+             [[1, 1, 2, 0, 3, 1, 0], [1, 2, 1, 1, 1, 0, 0], [3, 1, 1, 0, 0, 0, 0],
+              [0, 1, 1, 1, 0, 0, 1], [1, 0, 0, 1, 0, 1, 0], [1, 1, 0, 0, 0, 0, 0],
+              [0, 0, 0, 1, 0, 0, 1]], 444809451921),  # Fisher: 7 x 7 is past the small regime
+        ],
+    )
+    def test_every_branch_is_pinned(self, rows, cols, table, after):
+        rng = np.random.default_rng(0)
+        assert sample_contingency_table(rows, cols, rng).tolist() == table
+        assert int(rng.integers(2**40)) == after
+
+    # 2 x 70 and 70 x 2 margins: with total 30 only 20 columns are nonzero, so
+    # the draw is two-line; with total 100 all 70 are, which is past
+    # _TWO_LINE_MAX_DIM and goes to Fisher. Pinned: the line along the long
+    # margin that belongs to the first entry of the short one, as digits.
+    @pytest.mark.parametrize(
+        "short, long, short_first, line, after",
+        [
+            ([18, 12], SPARSE_70, True, "2001000100000010000000000000100100020010002001000200100010000001000000",
+             897040469319),
+            ([18, 12], SPARSE_70, False, "2001000100000010000000000000100100020010002001000200100010000001000000",
+             897040469319),
+            ([60, 40], FULL_70, True, "2211010222111110001111120101212000112110102120101122101100010001020101",
+             787159997226),
+            ([60, 40], FULL_70, False, "0221000101111011201100100010111111122110102121110212000022110012211110",
+             115993286562),
+        ],
+    )
+    def test_long_margin_draws_are_pinned(self, short, long, short_first, line, after):
+        rows, cols = (short, long) if short_first else (long, short)
+        rng = np.random.default_rng(0)
+        t = sample_contingency_table(rows, cols, rng)
+        assert t.sum(axis=1).tolist() == rows and t.sum(axis=0).tolist() == cols
+        assert "".join(map(str, (t if short_first else t.T)[0])) == line
+        assert int(rng.integers(2**40)) == after
+
 
 class TestGenerateSynthetic:
     def test_degenerate_single_pair(self):
@@ -244,3 +320,25 @@ class TestGenerateSynthetic:
     def test_rejects_gamma_that_is_not_finite_and_positive(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             SynthParams(N=5, T=5, K=2, S=2, D=2, gamma=gamma, seed=0)
+
+
+# sha256 of the CSVs that `perfbench/workloads.py --workload W --seed 0` writes:
+# every benchmark input is drawn by generate_synthetic, so a drift in its
+# stream shows here. Like the golden events.csv, they assume numpy's streams.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+WORKLOAD_DIGESTS = {
+    "dp_dense": "6fa201ad761d57a4e3abcdab3fc83f3ffb9aee5239f3571092ff3c437f2c7b40",
+    "dp_sparse": "e0d7f3a600506b25fb0360022455fc3a3dbc9bfd2044b912dbfd988cd8555ac9",
+    "greedy_ingest": "55078dd843a11510128be60968dc858ac4751b19bb151bcd198e8a31779291e4",
+}
+
+
+@pytest.mark.parametrize("workload, digest", WORKLOAD_DIGESTS.items())
+def test_benchmark_inputs_are_unchanged(tmp_path, workload, digest):
+    out = tmp_path / "events.csv"
+    proc = subprocess.run(
+        [sys.executable, str(WORKLOADS), "--workload", workload, "--seed", "0", "--output", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
